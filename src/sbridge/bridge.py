@@ -2,9 +2,20 @@
 
 Solves the coupled harmonic/co-harmonic pair with prescribed marginal
 boundary conditions by alternating rescaling against the marginals
-(iterative proportional fitting on the transition kernel), iterated in the
-log domain for stability. Exposes the bridge's time-t density, its forward
+(iterative proportional fitting on the Wiener kernel), iterated in the log
+domain for stability. Exposes the bridge's time-t density, its forward
 drift, the one-marginal half bridge, and exact time reversal.
+
+Every propagation of a potential or density, in the solver, the marginal
+residuals, the time-t potentials, the drift sweeps and the prior flow, is
+one call of kernels.log_heat_propagate with variance sigma2 times the time
+span: a direct Toeplitz convolution over the 2n - 1 kernel samples, with
+exact log-sum-exp rows where it underflows. No per-time kernel matrix is
+built, and no FFT is used, because FFT error is absolute and the 1e-30
+density floor depends on the tails keeping their relative accuracy. Each
+time is propagated directly from the stored endpoint potential, never by
+compounding a one-step kernel, which would compound its aliasing error
+when the step is under-resolved (sqrt(sigma2 dt) < h).
 """
 
 from __future__ import annotations
@@ -28,15 +39,15 @@ from .grid import (
     ScalarField,
     _gradient_values,
     integrate,
+    log_gradient,
     normalize,
     require_same_grid,
 )
 from .kernels import (
     TransitionKernel,
+    log_heat_propagate,
     log_propagate_backward,
     log_propagate_forward,
-    propagate_backward,
-    propagate_forward,
 )
 
 #: marginals are floored at this fraction of their peak before taking logs
@@ -58,7 +69,8 @@ class BridgeProblem:
     """Two prescribed marginals over a reference kernel.
 
     prior_forward_drift is the reference model's forward drift b(x, t); None
-    means the Wiener prior (zero drift). Marginals are floored to be strictly
+    means the Wiener prior (zero drift). The kernel must be the heat kernel of
+    variance sigma2 * (t1 - t0). Marginals are floored to be strictly
     positive at construction.
     """
 
@@ -72,6 +84,12 @@ class BridgeProblem:
         require_same_grid(self.rho0, self.rho1, self.kernel)
         if not self.sigma2 > 0:
             raise ValueError(f"need sigma2 > 0, got {self.sigma2}")
+        expected = self.sigma2 * (self.t1 - self.t0)
+        v = self.kernel.variance
+        if v is None or abs(v - expected) > 1e-12 * expected:
+            raise ValueError(
+                f"kernel variance {v} is not sigma2 * (t1 - t0) = {expected}"
+            )
         object.__setattr__(self, "rho0", floor_density(self.rho0))
         object.__setattr__(self, "rho1", floor_density(self.rho1))
 
@@ -201,42 +219,50 @@ def solve_schrodinger_system(
     )
 
 
-def _check_partition(sol: BridgeSolution, t, k_left, k_right):
-    """Validate that the optional kernels split [t0, t1] exactly at t."""
+def _check_partition(sol: BridgeSolution, t, **sub_kernels):
+    """Validate t and the named optional kernels; returns (at_t0, at_t1).
+
+    k_left must span [t0, t] and k_right [t, t1]. An interior t needs every
+    kernel named in the call; at an endpoint each may be None.
+    """
     p = sol.problem
     span = max(1.0, abs(p.t1 - p.t0))
+    if t < p.t0 - 1e-12 * span or t > p.t1 + 1e-12 * span:
+        raise TimeMismatch(f"time {t} lies outside [{p.t0}, {p.t1}]")
     at_t0 = abs(t - p.t0) <= 1e-12 * span
     at_t1 = abs(t - p.t1) <= 1e-12 * span
-    if not at_t0 and not at_t1:
-        if k_left is None or k_right is None:
-            raise TimeMismatch(
-                f"interior time {t} needs both sub-kernels over [{p.t0}, {t}] and [{t}, {p.t1}]"
-            )
-    if k_left is not None:
-        require_same_grid(p.kernel, k_left)
-        if abs(k_left.s - p.t0) > 1e-12 * span or abs(k_left.t - t) > 1e-12 * span:
-            raise TimeMismatch(f"left kernel spans [{k_left.s}, {k_left.t}], wanted [{p.t0}, {t}]")
-    if k_right is not None:
-        require_same_grid(p.kernel, k_right)
-        if abs(k_right.s - t) > 1e-12 * span or abs(k_right.t - p.t1) > 1e-12 * span:
-            raise TimeMismatch(f"right kernel spans [{k_right.s}, {k_right.t}], wanted [{t}, {p.t1}]")
+    wanted = {"k_left": (p.t0, t), "k_right": (t, p.t1)}
+    for name, k in sub_kernels.items():
+        lo, hi = wanted[name]
+        if k is None:
+            if not (at_t0 or at_t1):
+                raise TimeMismatch(f"interior time {t} needs {name} over [{lo}, {hi}]")
+            continue
+        require_same_grid(p.kernel, k)
+        if abs(k.s - lo) > 1e-12 * span or abs(k.t - hi) > 1e-12 * span:
+            raise TimeMismatch(f"{name} spans [{k.s}, {k.t}], wanted [{lo}, {hi}]")
     return at_t0, at_t1
+
+
+def _log_phi_at(sol: BridgeSolution, t, at_t1) -> np.ndarray:
+    """log phi(., t): the stored log phi1 propagated back over [t, t1]."""
+    p = sol.problem
+    if at_t1:
+        return sol.log_phi1
+    return log_heat_propagate(p.kernel.grid, sol.log_phi1, p.sigma2 * (p.t1 - t))
 
 
 def _log_potentials_at(sol: BridgeSolution, t, k_left, k_right):
     """(log phi(., t), log phihat(., t)) by propagating the stored endpoints."""
     p = sol.problem
-    at_t0, at_t1 = _check_partition(sol, t, k_left, k_right)
+    at_t0, at_t1 = _check_partition(sol, t, k_left=k_left, k_right=k_right)
     if at_t0:
-        log_phi = log_propagate_backward(p.kernel, sol.log_phi1)
         log_phihat = sol.log_phihat0
-    elif at_t1:
-        log_phi = sol.log_phi1
-        log_phihat = log_propagate_forward(p.kernel, sol.log_phihat0)
     else:
-        log_phi = log_propagate_backward(k_right, sol.log_phi1)
-        log_phihat = log_propagate_forward(k_left, sol.log_phihat0)
-    return log_phi, log_phihat
+        log_phihat = log_heat_propagate(
+            p.kernel.grid, sol.log_phihat0, p.sigma2 * (t - p.t0)
+        )
+    return _log_phi_at(sol, t, at_t1), log_phihat
 
 
 def bridge_density(
@@ -273,19 +299,14 @@ def bridge_drift(
 
     k_right spans [t, t1] and may be omitted at the endpoints.
     """
+    _, at_t1 = _check_partition(sol, t, k_right=k_right)
+    return _drift_at(sol, t, at_t1)
+
+
+def _drift_at(sol: BridgeSolution, t, at_t1) -> ScalarField:
+    """The one per-time drift path of bridge_drift and bridge_drift_fields."""
     p = sol.problem
-    span = max(1.0, abs(p.t1 - p.t0))
-    if abs(t - p.t1) <= 1e-12 * span:
-        log_phi = sol.log_phi1
-    elif abs(t - p.t0) <= 1e-12 * span:
-        log_phi = log_propagate_backward(p.kernel, sol.log_phi1)
-    else:
-        if k_right is None:
-            raise TimeMismatch(f"interior time {t} needs the kernel over [{t}, {p.t1}]")
-        require_same_grid(p.kernel, k_right)
-        if abs(k_right.s - t) > 1e-12 * span or abs(k_right.t - p.t1) > 1e-12 * span:
-            raise TimeMismatch(f"right kernel spans [{k_right.s}, {k_right.t}], wanted [{t}, {p.t1}]")
-        log_phi = log_propagate_backward(k_right, sol.log_phi1)
+    log_phi = _log_phi_at(sol, t, at_t1)
     if not np.all(np.isfinite(log_phi)):
         raise DegeneratePotential(f"phi(., {t}) underflowed")
     grid = p.kernel.grid
@@ -345,20 +366,15 @@ def half_bridge(
 def time_reverse(sol: BridgeSolution) -> BridgeSolution:
     """Bridge from rho1 back to rho0: swap the roles of the two potentials.
 
-    Valid for a symmetric reference kernel (Wiener), for which forward and
-    backward propagation coincide; then exchanging the potential pair solves
-    the reversed problem at the same residual.
+    The Wiener reference kernel that BridgeProblem requires is symmetric, so
+    forward and backward propagation coincide; then exchanging the potential
+    pair solves the reversed problem at the same residual.
     """
     p = sol.problem
-    k = p.kernel
-    unfolded = k.matrix / k.grid.weights[None, :]
-    asym = float(np.max(np.abs(unfolded - unfolded.T)))
-    if asym > 1e-10 * float(np.max(unfolded)):
-        raise ValueError("time reversal requires a symmetric reference kernel")
     reversed_problem = BridgeProblem(
         rho0=p.rho1,
         rho1=p.rho0,
-        kernel=k,
+        kernel=p.kernel,
         sigma2=p.sigma2,
         prior_forward_drift=p.prior_forward_drift,
     )
@@ -376,43 +392,33 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:
     """Forward-drift fields of the bridge at the given interior/endpoint times.
 
-    Builds the Wiener sub-kernels [t, t1] internally; intended for feeding a
-    time-indexed drift into the samplers.
+    Each time propagates the stored log phi1 directly over [t, t1]; intended
+    for feeding a time-indexed drift into the samplers.
     """
-    from .kernels import heat_kernel
-
-    p = sol.problem
-    grid = p.kernel.grid
-    span = max(1.0, abs(p.t1 - p.t0))
     fields = []
     for t in np.asarray(times, dtype=float):
-        if abs(t - p.t1) <= 1e-12 * span or abs(t - p.t0) <= 1e-12 * span:
-            fields.append(bridge_drift(sol, t))
-        else:
-            fields.append(bridge_drift(sol, t, heat_kernel(grid, t, p.t1, p.sigma2)))
+        _, at_t1 = _check_partition(sol, t)
+        fields.append(_drift_at(sol, t, at_t1))
     return fields
 
 
 def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[DensityField]:
     """Marginals of the Wiener prior started from rho0 along a time grid.
 
-    Propagates step by step, reusing the one-step kernel while the spacing
-    stays constant.
+    Each marginal is propagated directly from rho0 over [t_0, t_k]; the first
+    is rho0 itself.
     """
-    from .kernels import heat_kernel
-
     times = np.asarray(times, dtype=float)
-    out = [rho0]
-    step_kernel = None
-    current = rho0
-    for k in range(times.shape[0] - 1):
-        dt = times[k + 1] - times[k]
-        if step_kernel is None or abs((step_kernel.t - step_kernel.s) - dt) > 1e-12 * dt:
-            step_kernel = heat_kernel(rho0.grid, 0.0, dt, sigma2)
-        nxt = propagate_forward(step_kernel, current)
-        current = DensityField(rho0.grid, np.maximum(nxt.values, 0.0), mass_tol=None)
-        out.append(current)
-    return out
+    with np.errstate(divide="ignore"):
+        log_rho0 = np.log(rho0.values)
+    return [rho0] + [
+        DensityField(
+            rho0.grid,
+            np.exp(log_heat_propagate(rho0.grid, log_rho0, sigma2 * (t - times[0]))),
+            mass_tol=None,
+        )
+        for t in times[1:]
+    ]
 
 
 def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> list[ScalarField]:
@@ -422,15 +428,12 @@ def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> li
     that a reverse-time sampler of the prior (or of a half bridge over it)
     must use.
     """
-    from .grid import log_gradient
-
     flows = wiener_marginal_flow(rho0, times, sigma2)
     return [
         ScalarField(rho.grid, -sigma2 * log_gradient(rho).values) for rho in flows
     ]
 
 
-# re-exported propagation helpers so callers need only this module for bridges
 __all__ = [
     "BridgeProblem",
     "BridgeSolution",
@@ -442,8 +445,6 @@ __all__ = [
     "sinkhorn_potentials",
     "solve_schrodinger_system",
     "time_reverse",
-    "propagate_forward",
-    "propagate_backward",
     "bridge_drift_fields",
     "wiener_marginal_flow",
     "wiener_backward_drift_fields",

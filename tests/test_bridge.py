@@ -17,7 +17,7 @@ from sbridge.bridge import (
 )
 from sbridge.entropy import kl_divergence, path_entropy_forward
 from sbridge.errors import NoConvergence, TimeMismatch
-from sbridge.families import gaussian_density
+from sbridge.families import gaussian_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, log_gradient, normalize
 from sbridge.kernels import heat_kernel, propagate_forward
 from sbridge.sde import GridDrift, sample_forward
@@ -293,3 +293,50 @@ def test_wiener_flow_and_backward_drift_fields():
     bulk = np.abs(grid.points) <= 3.0
     expected = grid.points[bulk] / 2.0  # x / (1 + t) at t = 1
     assert np.max(np.abs(gammas[-1].values[bulk] - expected)) < 1e-4
+
+
+def test_wiener_flow_mass_with_under_resolved_steps():
+    # sqrt(sigma2 dt) = 0.022 < h = 0.04: a compounded one-step kernel grows the mass
+    grid = Grid1D(-8.0, 8.0, 401)
+    rho0 = gaussian_density(grid, -1.0, 0.25)
+    flow = wiener_marginal_flow(rho0, np.linspace(0.0, 1.0, 101), 0.05)
+    assert abs(integrate(flow[-1]) - 1.0) < 1e-6
+
+
+def test_drift_fields_match_per_time_drift(setup):
+    grid, _, _, sol = setup
+    times = np.linspace(0.0, 1.0, 11)
+    fields = bridge_drift_fields(sol, times)
+    for t, f in zip(times[1:-1], fields[1:-1]):
+        single = bridge_drift(sol, t, heat_kernel(grid, t, 1.0, 1.0))
+        assert np.max(np.abs(f.values - single.values)) < 1e-12
+
+
+def test_narrow_solve_over_exact_zero_kernel_band():
+    # at sigma2 = 0.05 kernel entries vanish exactly beyond |x - y| = 8.6
+    grid = Grid1D(-8.0, 8.0, 401)
+    kernel = heat_kernel(grid, 0.0, 1.0, 0.05)
+    assert np.any(kernel.matrix == 0.0)
+    rho0 = gaussian_density(grid, -1.0, 0.25)
+    rho1 = mixture_density(grid, [
+        (0.6, {"kind": "gaussian", "mean": 0.5, "var": 0.1}),
+        (0.4, {"kind": "gaussian", "mean": 1.8, "var": 0.1}),
+    ])
+    sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 0.05), tol=1e-9)
+    assert max(sol.marginal_residuals()) < 1e-8
+
+
+def test_problem_rejects_kernel_of_other_variance(setup):
+    grid, kernel, problem, _ = setup
+    with pytest.raises(ValueError):
+        BridgeProblem(problem.rho0, problem.rho1, kernel, 0.5)
+    with pytest.raises(ValueError):
+        BridgeProblem(problem.rho0, problem.rho1, heat_kernel(grid, 0.0, 1.0, 2.0), 1.0)
+
+
+def test_times_outside_the_problem_interval_are_rejected(setup):
+    _, _, _, sol = setup
+    with pytest.raises(TimeMismatch):
+        bridge_drift_fields(sol, [0.5, 1.5])
+    with pytest.raises(TimeMismatch):
+        bridge_drift(sol, -0.5)

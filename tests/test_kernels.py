@@ -1,5 +1,10 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.special import erf
 
 from sbridge.errors import (
@@ -13,6 +18,7 @@ from sbridge.grid import Grid1D, ScalarField, inner, integrate, normalize
 from sbridge.kernels import (
     compose,
     heat_kernel,
+    log_heat_propagate,
     log_propagate_backward,
     log_propagate_forward,
     propagate_backward,
@@ -204,3 +210,80 @@ def test_kernel_csv_dump(grid, k01, tmp_path):
     assert len(header) == grid.n_points
     assert float(header[0]) == grid.x_min
     assert float(first[0]) == k01.matrix[0, 0]
+
+
+def test_truncation_warning_on_under_resolved_kernel():
+    # sqrt(sigma2 dt) = 0.022 is below h = 0.04: rows sum to about 1.0042
+    grid = Grid1D(-8.0, 8.0, 401)
+    with pytest.warns(TruncationWarning, match="under-resolved"):
+        heat_kernel(grid, 0.0, 0.01, 0.05)
+
+
+def test_resolved_kernel_is_silent(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        heat_kernel(grid, 0.0, 1.0, 1.0)
+
+
+def brute_log_propagate(grid, log_f, variance):
+    """Max-shifted log-sum-exp over the analytic log kernel, one n x n array."""
+    idx = np.arange(grid.n_points)
+    d = np.subtract.outer(idx, idx) * grid.h
+    terms = (-(d**2) / (2.0 * variance) - 0.5 * np.log(2.0 * np.pi * variance)
+             + np.log(grid.weights) + log_f)
+    top = terms.max(axis=1)
+    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+@st.composite
+def propagation_cases(draw):
+    n = draw(st.integers(3, 301))
+    grid = Grid1D(-8.0, 8.0, n)
+    # variance log-uniform from 1e-3 h^2 (far under-resolved) to 100
+    v = grid.h**2 * 10.0 ** draw(st.floats(-3.0, np.log10(100.0 / grid.h**2)))
+    log_f = draw(hnp.arrays(float, n, elements=st.floats(-700.0, 700.0)))
+    return grid, log_f, v
+
+
+@given(propagation_cases())
+def test_log_heat_propagate_matches_brute_force(case):
+    grid, log_f, v = case
+    ref = brute_log_propagate(grid, log_f, v)
+    out = log_heat_propagate(grid, log_f, v)
+    assert np.all(np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_log_heat_propagate_underflowing_rows_are_exact():
+    # a 1400 spread in log f with a near-diagonal kernel: the linear sums of
+    # the low rows are exactly 0 and only the log-domain rows are finite
+    grid = Grid1D(-8.0, 8.0, 201)
+    log_f = np.linspace(-700.0, 700.0, grid.n_points)
+    v = 1e-3 * grid.h**2
+    out = log_heat_propagate(grid, log_f, v)
+    ref = brute_log_propagate(grid, log_f, v)
+    assert np.all(np.isfinite(out)) and out.min() < -690.0
+    assert np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+
+def test_log_heat_propagate_of_all_zero_input_is_minus_inf(grid):
+    out = log_heat_propagate(grid, np.full(grid.n_points, -np.inf), 1.0)
+    assert np.all(out == -np.inf)
+
+
+def test_log_heat_propagate_rejects_bad_input(grid):
+    with pytest.raises(ValueError):
+        log_heat_propagate(grid, np.zeros(grid.n_points), 0.0)
+    with pytest.raises(ValueError):
+        log_heat_propagate(grid, np.zeros(grid.n_points - 1), 1.0)
+    with pytest.raises(ValueError):
+        log_heat_propagate(grid, np.full(grid.n_points, np.nan), 1.0)
+
+
+def test_log_propagation_needs_a_heat_kernel(grid, k01):
+    composed = compose(k01, heat_kernel(grid, 1.0, 2.0, 1.0))
+    assert k01.variance == 1.0 and composed.variance is None
+    log_f = np.zeros(grid.n_points)
+    with pytest.raises(ValueError):
+        log_propagate_forward(composed, log_f)
+    with pytest.raises(ValueError):
+        log_propagate_backward(composed, log_f)
