@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyEnsemble, SupportViolation
+from .errors import SupportViolation
 from .grid import DensityField, require_same_grid
+from .sde import path_integral
 
 #: values below this fraction of the peak contribute nothing to divergences
 KL_FLOOR = 1e-30
@@ -66,27 +67,13 @@ def _kinetic(ens, drift_q, drift_p, sigma2, endpoint: str):
     Forward integrals use left endpoints (matching the forward Euler-Maruyama
     discretization), backward ones use right endpoints.
     """
-    times = ens.times
-    pos = ens.positions
-    if pos.shape[0] == 0:
-        raise EmptyEnsemble("path ensemble has no trajectories")
-    acc = np.zeros(pos.shape[0])
-    for k in range(times.shape[0] - 1):
-        dt = times[k + 1] - times[k]
-        if endpoint == "left":
-            x, t = pos[:, k], times[k]
-        else:
-            x, t = pos[:, k + 1], times[k + 1]
-        mismatch = np.asarray(drift_q(x, t), dtype=float) - np.asarray(
-            drift_p(x, t), dtype=float
-        )
-        acc += mismatch**2 * (dt / (2.0 * sigma2))
-    mean = float(acc.mean())
-    if acc.shape[0] > 1:
-        se = float(acc.std(ddof=1) / np.sqrt(acc.shape[0]))
-    else:
-        se = float("nan")
-    return mean, se
+    def mismatch2(x, t):
+        return (np.asarray(drift_q(x, t), dtype=float)
+                - np.asarray(drift_p(x, t), dtype=float)) ** 2
+
+    acc = path_integral(ens, mismatch2, endpoint) / (2.0 * sigma2)
+    se = float(acc.std(ddof=1) / np.sqrt(acc.shape[0])) if acc.shape[0] > 1 else float("nan")
+    return float(acc.mean()), se
 
 
 def path_entropy_forward(

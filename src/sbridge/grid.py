@@ -139,6 +139,25 @@ def inner(f, g) -> float:
     return float(np.dot(f.grid.weights, f.values * g.values))
 
 
+def interp_uniform(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
+    """np.interp(x, grid.points, values), with the cell found from (x - x_min)/h.
+
+    Slope and offset use np.interp's arithmetic, so the two agree bit for bit
+    except within rounding of a node. Beyond a wall: the wall value; NaN: NaN.
+    """
+    xc = np.clip(np.asarray(x, dtype=float), grid.x_min, grid.x_max)
+    # fmax sends NaN to cell 0 (a bare cast would give INT_MIN); NaN survives in xc
+    j = np.fmax((xc - grid.x_min) / grid.h, 0.0).astype(np.intp)
+    slope = np.empty(grid.n_points)
+    np.divide(np.diff(values), np.diff(grid.points), out=slope[:-1])
+    slope[-1] = 0.0  # x_max may land in cell n-1, at offset 0
+    # slope_j * (x - x_j) + values_j, in place: temporaries dominate at 1e4+ points
+    xc -= grid.points[j]
+    xc *= slope[j]
+    xc += values[j]
+    return xc
+
+
 def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:
     # np.gradient: central differences inside, second-order one-sided at the ends
     return np.gradient(values, h, edge_order=2)

@@ -22,6 +22,7 @@ from .grid import (
     Grid1D,
     ScalarField,
     gradient,
+    interp_uniform,
     laplacian,
     log_gradient,
     normalize,
@@ -39,8 +40,9 @@ CLAMP_BUDGET = 1e-3
 class PathEnsemble:
     """Sampled trajectories on a common time grid.
 
-    positions has shape (n_paths, n_times) and is stored in increasing-time
-    order regardless of the simulation direction.
+    positions has shape (n_paths, n_times), in increasing-time order whatever
+    the simulation direction. It views time-major storage (positions given in
+    another layout are copied), so each column positions[:, k] is contiguous.
     """
 
     times: np.ndarray
@@ -62,6 +64,7 @@ class PathEnsemble:
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "positions", np.ascontiguousarray(self.positions.T).T)
 
     @property
     def n_paths(self) -> int:
@@ -76,28 +79,28 @@ class PathEnsemble:
 
 
 class GridDrift:
-    """Drift field sampled on a grid at stored times, evaluated by interpolation.
+    """Drift field sampled on a grid at strictly increasing stored times.
 
     Lookup is nearest-neighbor in time (the SDE step must line up with the
-    storage grid) and linear in space. Positions outside the grid are clamped
-    and counted; runs exceeding the clamp budget fail validation.
+    storage grid) and linear in space by uniform-grid index arithmetic
+    (grid.interp_uniform). Positions outside the grid are clamped and
+    counted; runs exceeding the clamp budget fail validation.
     """
 
     def __init__(self, times, fields):
         times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.shape[0] != len(fields):
-            raise ValueError("need one field per stored time")
+        if times.ndim != 1 or times.shape[0] != len(fields) or np.any(np.diff(times) <= 0):
+            raise ValueError("need one field per stored time, at strictly increasing times")
         self.grid = require_same_grid(*fields)
         self.times = times
         self.table = np.stack([f.values for f in fields])
+        # a time within one storage step beyond either end still maps to it
+        self._slot_tol = np.min(np.diff(times)) if times.shape[0] > 1 else np.inf
         self.n_eval = 0
         self.n_clamped = 0
 
     def _time_slot(self, t: float) -> int:
-        if self.times.shape[0] == 1:
-            return 0
-        dt_store = np.min(np.diff(self.times))
-        if t < self.times[0] - dt_store or t > self.times[-1] + dt_store:
+        if t < self.times[0] - self._slot_tol or t > self.times[-1] + self._slot_tol:
             raise TimeNotStored(
                 f"drift requested at t={t}, stored range "
                 f"[{self.times[0]}, {self.times[-1]}]"
@@ -108,15 +111,11 @@ class GridDrift:
         x = np.asarray(x, dtype=float)
         self.n_eval += x.size
         self.n_clamped += int(np.count_nonzero((x < self.grid.x_min) | (x > self.grid.x_max)))
-        return np.interp(x, self.grid.points, self.table[self._time_slot(t)])
+        return interp_uniform(self.grid, self.table[self._time_slot(t)], x)
 
     @property
     def clamp_fraction(self) -> float:
         return self.n_clamped / self.n_eval if self.n_eval else 0.0
-
-
-def _block_starts(n_paths: int):
-    return range(0, n_paths, BLOCK_SIZE)
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -130,12 +129,8 @@ def _initial_positions(rho, u: np.ndarray) -> np.ndarray:
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * grid.h * (rho.values[:-1] + rho.values[1:]))])
     cdf /= cdf[-1]
+    # the abscissa is the CDF, not a uniform grid, so interp_uniform does not apply
     return np.interp(u, cdf, grid.points)
-
-
-def _drift_domain_width(drift):
-    g = getattr(drift, "grid", None)
-    return (g.x_max - g.x_min) if g is not None else None
 
 
 def _check_clamping(drift, n_eval_before, n_clamped_before):
@@ -158,39 +153,34 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
         raise EmptyEnsemble("need n_paths >= 1")
     sigma = np.sqrt(sigma2)
     n_times = times.shape[0]
-    width = _drift_domain_width(drift)
+    g = getattr(drift, "grid", None)
+    width = (g.x_max - g.x_min) if g is not None else None
     ev0 = getattr(drift, "n_eval", 0)
     cl0 = getattr(drift, "n_clamped", 0)
 
-    positions = np.empty((n_paths, n_times))
+    # time-major: each step writes one contiguous row
+    positions = np.empty((n_times, n_paths))
     dts = np.diff(times)
-    for b, start in enumerate(_block_starts(n_paths)):
+    sign = -1.0 if backward else 1.0
+    steps = range(n_times - 2, -1, -1) if backward else range(n_times - 1)
+    for b, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
         stop = min(start + BLOCK_SIZE, n_paths)
         rng = _block_generator(seed, b)
         x = _initial_positions(rho_start, rng.random(stop - start))
-        if backward:
-            positions[start:stop, -1] = x
-            for k in range(n_times - 2, -1, -1):
-                dt = dts[k]
-                inc = -np.asarray(drift(x, times[k + 1]), dtype=float) * dt \
-                    + sigma * np.sqrt(dt) * rng.standard_normal(x.shape[0])
-                _check_increment(inc, width)
-                x = x + inc
-                positions[start:stop, k] = x
-        else:
-            positions[start:stop, 0] = x
-            for k in range(n_times - 1):
-                dt = dts[k]
-                inc = np.asarray(drift(x, times[k]), dtype=float) * dt \
-                    + sigma * np.sqrt(dt) * rng.standard_normal(x.shape[0])
-                _check_increment(inc, width)
-                x = x + inc
-                positions[start:stop, k + 1] = x
+        positions[-1 if backward else 0, start:stop] = x
+        for k in steps:
+            # step k joins times k and k+1; the drift is read where the step starts
+            src, dst = (k + 1, k) if backward else (k, k + 1)
+            inc = rng.standard_normal(x.shape[0])
+            inc *= sigma * np.sqrt(dts[k])
+            inc += np.asarray(drift(x, times[src]), dtype=float) * (sign * dts[k])
+            _check_increment(inc, width)
+            x = np.add(x, inc, out=positions[dst, start:stop])
 
     _check_clamping(drift, ev0, cl0)
     return PathEnsemble(
         times=times,
-        positions=positions,
+        positions=positions.T,
         sigma2=sigma2,
         seed=seed,
         direction="backward" if backward else "forward",
@@ -198,12 +188,11 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
 
 
 def _check_increment(inc: np.ndarray, width):
-    if not np.all(np.isfinite(inc)):
+    peak = float(np.max(np.abs(inc)))  # NaN or inf if any entry is
+    if not np.isfinite(peak):
         raise DriftBlowup("non-finite Euler-Maruyama increment")
-    if width is not None and float(np.max(np.abs(inc))) > width:
-        raise DriftBlowup(
-            f"increment {np.max(np.abs(inc)):.3g} exceeds domain width {width:.3g}"
-        )
+    if width is not None and peak > width:
+        raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
 
 
 def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> PathEnsemble:
@@ -266,6 +255,21 @@ class GeneratorCheckResult:
     std_error: float
 
 
+def path_integral(ens: PathEnsemble, g, endpoint: str = "left") -> np.ndarray:
+    """Per-path Riemann sums of g(x_k, t_k) * (t_{k+1} - t_k) over the steps.
+
+    g maps (positions at one time, t) -> array. "left" evaluates it at the
+    start of each step (the forward Euler-Maruyama discretization), "right"
+    at its end.
+    """
+    shift = {"left": 0, "right": 1}[endpoint]
+    rows = ens.positions.T  # contiguous, one row per time
+    acc = np.zeros(ens.n_paths)
+    for k, dt in enumerate(np.diff(ens.times)):
+        acc += np.asarray(g(rows[k + shift], ens.times[k + shift]), dtype=float) * dt
+    return acc
+
+
 def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> GeneratorCheckResult:
     """Dynkin/Ito consistency for a time-independent test function.
 
@@ -273,23 +277,17 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
     (beta * f' + sigma2/2 * f''), both estimated on the same trajectories so
     the standard error applies to the per-path difference.
     """
-    if ens.n_paths == 0:
-        raise EmptyEnsemble("path ensemble has no trajectories")
     grid = f.grid
     fp = gradient(f).values
     fpp = laplacian(f).values
-    xs = grid.points
-    pos = ens.positions
-    times = ens.times
 
-    rhs_acc = np.zeros(ens.n_paths)
-    for k in range(times.shape[0] - 1):
-        dt = times[k + 1] - times[k]
-        x = pos[:, k]
-        drift = np.asarray(beta(x, times[k]), dtype=float)
-        rhs_acc += (drift * np.interp(x, xs, fp)
-                    + 0.5 * sigma2 * np.interp(x, xs, fpp)) * dt
-    lhs_paths = np.interp(pos[:, -1], xs, f.values) - np.interp(pos[:, 0], xs, f.values)
+    def generator(x, t):
+        drift = np.asarray(beta(x, t), dtype=float)
+        return drift * interp_uniform(grid, fp, x) + 0.5 * sigma2 * interp_uniform(grid, fpp, x)
+
+    rhs_acc = path_integral(ens, generator)
+    lhs_paths = (interp_uniform(grid, f.values, ens.positions[:, -1])
+                 - interp_uniform(grid, f.values, ens.positions[:, 0]))
     diff = lhs_paths - rhs_acc
     se = float(diff.std(ddof=1) / np.sqrt(ens.n_paths)) if ens.n_paths > 1 else float("nan")
     return GeneratorCheckResult(
@@ -302,10 +300,5 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
 
 def empirical_energy(ens: PathEnsemble, drift) -> float:
     """Diagnostic E of the integral of drift^2 dt along the ensemble."""
-    times = ens.times
-    acc = np.zeros(ens.n_paths)
-    for k in range(times.shape[0] - 1):
-        dt = times[k + 1] - times[k]
-        b = np.asarray(drift(ens.positions[:, k], times[k]), dtype=float)
-        acc += b**2 * dt
-    return float(acc.mean())
+    return float(path_integral(
+        ens, lambda x, t: np.asarray(drift(x, t), dtype=float) ** 2).mean())

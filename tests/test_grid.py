@@ -1,5 +1,9 @@
+import warnings
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.special import erf
 
 from sbridge.errors import GridMismatch, NonPositiveMass
@@ -12,6 +16,7 @@ from sbridge.grid import (
     gradient,
     integrate,
     inner,
+    interp_uniform,
     l1_distance,
     laplacian,
     log_gradient,
@@ -217,3 +222,46 @@ def test_boundary_fraction():
     wide = ScalarField(g, np.exp(-g.points**2 / 100))
     assert boundary_fraction(wide) > 1e-2
     assert l1_distance(tight, tight) == 0.0
+
+
+@st.composite
+def interp_cases(draw):
+    n = draw(st.integers(3, 2001))
+    x_min = draw(st.floats(-100.0, 100.0))
+    width = draw(st.floats(1e-3, 200.0))
+    grid = Grid1D(x_min, x_min + width, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.floats(1e-6, 1e6)) * rng.standard_normal(n)
+    beyond = width * 10.0 ** rng.uniform(-12.0, 2.0, 20)
+    x = np.concatenate([
+        grid.x_min + width * rng.random(200),  # inside, in random order
+        grid.x_min - beyond,
+        grid.x_max + beyond,
+        grid.points[rng.integers(0, n, 50)],  # exactly on nodes
+        [grid.x_min, grid.x_max],
+    ])
+    return grid, values, x
+
+
+@given(interp_cases())
+def test_interp_uniform_matches_np_interp(case):
+    grid, values, x = case
+    ref = np.interp(x, grid.points, values)
+    out = interp_uniform(grid, values, x)
+    assert np.all(np.abs(out - ref) <= 1e-12 * np.max(np.abs(values)))
+    assert out[-1] == values[-1] and out[-2] == values[0]
+
+
+def test_interp_uniform_nan_gives_nan_without_warning():
+    g = Grid1D(-1.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interp_uniform(g, g.points**2, np.array([np.nan, 0.5, np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == 0.25
+
+
+def test_interp_uniform_scalar_and_integer_input():
+    g = Grid1D(-1.0, 1.0, 5)
+    for x in (0.3, np.float64(-2.0), np.asarray(0.7), 1, np.array([0, 1, -3])):
+        assert np.array_equal(interp_uniform(g, g.points**2, x), np.interp(x, g.points, g.points**2))

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from sbridge.sde import (
     empirical_density,
     empirical_energy,
     generator_check,
+    path_integral,
     sample_backward,
     sample_forward,
 )
@@ -30,6 +34,29 @@ def grid():
 
 def point_start(grid, eps=1e-6):
     return gaussian_density(grid, 0.0, eps)
+
+
+#: SHA-256 of positions.tobytes() for 20000 paths (two Philox blocks) x 21
+#: times, seed 2024; recorded while ensembles were still stored path-major
+GOLDEN = {
+    ("zero", "forward"): "f469fdbe1f6a24a4a6d71b5b1b4a53ff95c011e1500a181d3354cfb1c57689e0",
+    ("zero", "backward"): "296154f01ce36700a032447704a1a2f77bb7d471ee014b8e14a998bd5216057f",
+    ("ou", "forward"): "ef97dd9f4121388b7d953f95421d994e821362fb824c53cc9afd56b7d1400c1a",
+    ("ou", "backward"): "a8f469debfee46b974749aa22ea4f51b1ff9fc43582ec927f0a475af5a2bee14",
+}
+
+
+@pytest.mark.parametrize("drift_name,direction", sorted(GOLDEN))
+def test_golden_ensemble_hash(grid, drift_name, direction):
+    drift = {"zero": ZERO, "ou": lambda x, t: -x}[drift_name]
+    sample = {"forward": sample_forward, "backward": sample_backward}[direction]
+    ens = sample(drift, gaussian_density(grid, 0.0, 0.5), 1.0,
+                 np.linspace(0.0, 1.0, 21), 20000, 2024)
+    digest = hashlib.sha256(ens.positions.tobytes()).hexdigest()
+    assert digest == GOLDEN[drift_name, direction]
+    assert ens.positions.shape == (20000, 21)
+    for k in (0, 10, 20):
+        assert ens.positions[:, k].flags.c_contiguous
 
 
 def test_seed_determinism(grid):
@@ -176,6 +203,36 @@ def test_grid_drift_interpolation_and_clamping(grid):
         drift(x, 5.0)
 
 
+def test_grid_drift_clamp_count_and_nan(grid):
+    drift = GridDrift(np.array([0.0, 1.0]), [ScalarField(grid, grid.points)] * 2)
+    x = np.array([-10.5, -10.0, 3.0, 10.0, 10.0 + 1e-9, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = drift(x, 0.0)
+    # only x < x_min or x > x_max count; x_max itself and NaN do not
+    assert drift.n_clamped == 2 and drift.n_eval == 6
+    assert np.array_equal(out[:5], [-10.0, -10.0, 3.0, 10.0, 10.0])
+    assert np.isnan(out[5])
+
+
+def test_grid_drift_rejects_unordered_times(grid):
+    fields = [ScalarField(grid, grid.points), ScalarField(grid, 2.0 * grid.points)]
+    with pytest.raises(ValueError):
+        GridDrift([1.0, 0.0], fields)
+    with pytest.raises(ValueError):
+        GridDrift([0.0, 0.0, 1.0], fields + fields[:1])
+
+
+def test_path_integral_left_and_right_sums():
+    times = np.array([0.0, 0.5, 1.5, 2.0])
+    ens = PathEnsemble(times, np.vstack([times, 2.0 * times]), 1.0, 0, "forward")
+    assert ens.positions[:, 1].flags.c_contiguous  # path-major input is stored time-major
+    g = lambda x, t: x * t
+    # g = c t^2 on path c: left sum c (0 + 0.25*1 + 2.25*0.5), right c (0.25*0.5 + 2.25 + 4*0.5)
+    assert np.array_equal(path_integral(ens, g), [1.375, 2.75])
+    assert np.array_equal(path_integral(ens, g, "right"), [4.375, 8.75])
+
+
 def test_excessive_clamping_fails_validation():
     small = Grid1D(-0.5, 0.5, 11)
     fields = [ScalarField(small, np.zeros(11))] * 2
@@ -194,6 +251,14 @@ def test_drift_blowup_detection():
     times = np.linspace(0.0, 1.0, 11)
     with pytest.raises(DriftBlowup):
         sample_forward(drift, rho0, 1e-6, times, 10, seed=31)
+
+
+def test_non_finite_drift_is_a_blowup(grid):
+    nan_drift = lambda x, t: np.full_like(x, np.nan)
+    with pytest.raises(DriftBlowup):
+        sample_forward(nan_drift, point_start(grid), 1.0, np.linspace(0, 1, 5), 10, seed=1)
+    with pytest.raises(DriftBlowup):
+        sample_backward(nan_drift, point_start(grid), 1.0, np.linspace(0, 1, 5), 10, seed=1)
 
 
 def test_ensemble_validation(grid):
