@@ -37,12 +37,7 @@ from .families import (
     gaussian_density,
     gaussian_packet,
     indicator_density,
-    make_density,
-    make_drift,
-    make_potential,
-    make_wavefunction,
     mixture_density,
-    density_moments,
 )
 from .grid import (
     ComplexField,
@@ -55,10 +50,6 @@ from .grid import (
     laplacian,
     log_gradient,
     normalize,
-    read_complex_field,
-    read_scalar_field,
-    sup_distance,
-    write_field_csv,
 )
 from .kernels import (
     TransitionKernel,

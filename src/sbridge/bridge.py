@@ -43,12 +43,7 @@ from .grid import (
     normalize,
     require_same_grid,
 )
-from .kernels import (
-    TransitionKernel,
-    log_heat_propagate,
-    log_propagate_backward,
-    log_propagate_forward,
-)
+from .kernels import TransitionKernel, log_heat_propagate
 
 #: marginals are floored at this fraction of their peak before taking logs
 DENSITY_FLOOR = 1e-30
@@ -130,8 +125,8 @@ class BridgeSolution:
         """L1 defects of phi*phihat against rho0 and rho1 at the endpoints."""
         k = self.problem.kernel
         w = k.grid.weights
-        log_phi0 = log_propagate_backward(k, self.log_phi1)
-        log_phihat1 = log_propagate_forward(k, self.log_phihat0)
+        log_phi0 = log_heat_propagate(k.grid, self.log_phi1, k.variance)
+        log_phihat1 = log_heat_propagate(k.grid, self.log_phihat0, k.variance)
         r0 = np.exp(log_phi0 + self.log_phihat0)
         r1 = np.exp(self.log_phi1 + log_phihat1)
         res0 = float(np.dot(w, np.abs(r0 - self.problem.rho0.values)))
@@ -187,14 +182,14 @@ def solve_schrodinger_system(
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
-        log_phihat1 = log_propagate_forward(k, log_phihat0)
+        log_phihat1 = log_heat_propagate(k.grid, log_phihat0, k.variance)
         residual = float(np.dot(w, np.abs(np.exp(log_phi1 + log_phihat1)
                                           - problem.rho1.values)))
         history.append(residual)
         if residual < tol:
             break
         log_phi1 = log_rho1 - log_phihat1
-        log_phi0 = log_propagate_backward(k, log_phi1)
+        log_phi0 = log_heat_propagate(k.grid, log_phi1, k.variance)
         log_phihat0 = log_rho0 - log_phi0
         if not (np.all(np.isfinite(log_phi1)) and np.all(np.isfinite(log_phihat0))):
             raise NonOverlappingSupport(
@@ -206,7 +201,7 @@ def solve_schrodinger_system(
 
     # gauge: split the t1 factorization symmetrically between the potentials
     wsum = w.sum()
-    log_phihat1 = log_propagate_forward(k, log_phihat0)
+    log_phihat1 = log_heat_propagate(k.grid, log_phihat0, k.variance)
     shift = 0.5 * float(np.dot(w, log_phihat1 - log_phi1) / wsum)
     return BridgeSolution(
         problem=problem,
@@ -219,29 +214,13 @@ def solve_schrodinger_system(
     )
 
 
-def _check_partition(sol: BridgeSolution, t, **sub_kernels):
-    """Validate t and the named optional kernels; returns (at_t0, at_t1).
-
-    k_left must span [t0, t] and k_right [t, t1]. An interior t needs every
-    kernel named in the call; at an endpoint each may be None.
-    """
+def _check_partition(sol: BridgeSolution, t):
+    """Reject t outside [t0, t1]; returns (at_t0, at_t1)."""
     p = sol.problem
     span = max(1.0, abs(p.t1 - p.t0))
     if t < p.t0 - 1e-12 * span or t > p.t1 + 1e-12 * span:
         raise TimeMismatch(f"time {t} lies outside [{p.t0}, {p.t1}]")
-    at_t0 = abs(t - p.t0) <= 1e-12 * span
-    at_t1 = abs(t - p.t1) <= 1e-12 * span
-    wanted = {"k_left": (p.t0, t), "k_right": (t, p.t1)}
-    for name, k in sub_kernels.items():
-        lo, hi = wanted[name]
-        if k is None:
-            if not (at_t0 or at_t1):
-                raise TimeMismatch(f"interior time {t} needs {name} over [{lo}, {hi}]")
-            continue
-        require_same_grid(p.kernel, k)
-        if abs(k.s - lo) > 1e-12 * span or abs(k.t - hi) > 1e-12 * span:
-            raise TimeMismatch(f"{name} spans [{k.s}, {k.t}], wanted [{lo}, {hi}]")
-    return at_t0, at_t1
+    return abs(t - p.t0) <= 1e-12 * span, abs(t - p.t1) <= 1e-12 * span
 
 
 def _log_phi_at(sol: BridgeSolution, t, at_t1) -> np.ndarray:
@@ -252,10 +231,10 @@ def _log_phi_at(sol: BridgeSolution, t, at_t1) -> np.ndarray:
     return log_heat_propagate(p.kernel.grid, sol.log_phi1, p.sigma2 * (p.t1 - t))
 
 
-def _log_potentials_at(sol: BridgeSolution, t, k_left, k_right):
+def _log_potentials_at(sol: BridgeSolution, t):
     """(log phi(., t), log phihat(., t)) by propagating the stored endpoints."""
     p = sol.problem
-    at_t0, at_t1 = _check_partition(sol, t, k_left=k_left, k_right=k_right)
+    at_t0, at_t1 = _check_partition(sol, t)
     if at_t0:
         log_phihat = sol.log_phihat0
     else:
@@ -265,18 +244,13 @@ def _log_potentials_at(sol: BridgeSolution, t, k_left, k_right):
     return _log_phi_at(sol, t, at_t1), log_phihat
 
 
-def bridge_density(
-    sol: BridgeSolution,
-    t: float,
-    k_left: TransitionKernel | None = None,
-    k_right: TransitionKernel | None = None,
-) -> DensityField:
+def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
     """Bridge density phi(., t) * phihat(., t); checked for unit mass, never rescaled.
 
-    k_left spans [t0, t] and k_right spans [t, t1]; both may be omitted when t
-    is an endpoint of the problem interval.
+    t must lie in [t0, t1]; the potentials are propagated from the stored
+    endpoints with variances sigma2 * (t1 - t) and sigma2 * (t - t0).
     """
-    log_phi, log_phihat = _log_potentials_at(sol, t, k_left, k_right)
+    log_phi, log_phihat = _log_potentials_at(sol, t)
     values = np.exp(log_phi + log_phihat)
     out = DensityField(sol.problem.kernel.grid, values, mass_tol=None)
     mass = integrate(out)
@@ -290,16 +264,12 @@ def bridge_density(
     return out
 
 
-def bridge_drift(
-    sol: BridgeSolution,
-    t: float,
-    k_right: TransitionKernel | None = None,
-) -> ScalarField:
+def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
     """Forward drift of the bridge at time t: prior drift + sigma2 * grad log phi.
 
-    k_right spans [t, t1] and may be omitted at the endpoints.
+    t must lie in [t0, t1].
     """
-    _, at_t1 = _check_partition(sol, t, k_right=k_right)
+    _, at_t1 = _check_partition(sol, t)
     return _drift_at(sol, t, at_t1)
 
 

@@ -1,24 +1,15 @@
 """Named analytic families of densities and wavefunctions.
 
-These cover everything the experiment configurations and the test batteries
-need without external data files; CSV-backed fields are accepted through the
-same descriptor interface.
+Gaussian and indicator densities and their mixtures, minimum-uncertainty
+wave packets and the Dirichlet box modes of the quantum solver: the inputs
+the pipelines and the test batteries build their problems from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import (
-    ComplexField,
-    DensityField,
-    Grid1D,
-    ScalarField,
-    integrate,
-    normalize,
-    read_complex_field,
-    read_scalar_field,
-)
+from .grid import ComplexField, DensityField, Grid1D, ScalarField, normalize
 from .quantum import normalize_wavefunction
 
 
@@ -37,13 +28,26 @@ def indicator_density(grid: Grid1D, a: float, b: float) -> DensityField:
 
 
 def mixture_density(grid: Grid1D, components) -> DensityField:
-    """components: iterable of (weight, descriptor dict)."""
+    """components: iterable of (weight, descriptor dict).
+
+    A descriptor is {"kind": "gaussian", "mean": ..., "var": ...} or
+    {"kind": "indicator", "a": ..., "b": ...}.
+    """
     total = np.zeros(grid.n_points)
     for weight, spec in components:
         if weight < 0:
             raise ValueError("mixture weights must be nonnegative")
-        total += weight * make_density(grid, spec).values
+        total += weight * _component(grid, spec).values
     return normalize(ScalarField(grid, total))
+
+
+def _component(grid: Grid1D, spec) -> DensityField:
+    kind = spec.get("kind")
+    if kind == "gaussian":
+        return gaussian_density(grid, spec["mean"], spec["var"])
+    if kind == "indicator":
+        return indicator_density(grid, spec["a"], spec["b"])
+    raise ValueError(f"unknown density kind {kind!r}")
 
 
 def gaussian_packet(
@@ -75,82 +79,3 @@ def box_mode_energy(grid: Grid1D, n_mode: int, hbar: float, m: float) -> float:
     k = n_mode * np.pi / (grid.x_max - grid.x_min)
     return hbar**2 * k**2 / (2.0 * m)
 
-
-def make_density(grid: Grid1D, spec) -> DensityField:
-    """Build a density from a descriptor dict (or pass one through)."""
-    if isinstance(spec, DensityField):
-        return spec
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        return gaussian_density(grid, spec["mean"], spec["var"])
-    if kind == "indicator":
-        return indicator_density(grid, spec["a"], spec["b"])
-    if kind == "mixture":
-        return mixture_density(
-            grid, [(c["weight"], c["component"]) for c in spec["components"]]
-        )
-    if kind == "csv":
-        f = read_scalar_field(spec["path"])
-        if f.grid != grid:
-            raise ValueError(f"{spec['path']}: grid does not match the configured domain")
-        return normalize(f)
-    raise ValueError(f"unknown density kind {kind!r}")
-
-
-def make_wavefunction(grid: Grid1D, spec) -> ComplexField:
-    if isinstance(spec, ComplexField):
-        return spec
-    kind = spec.get("kind")
-    if kind == "gaussian_packet":
-        return gaussian_packet(
-            grid,
-            center=spec.get("center", 0.0),
-            sigma0=spec.get("sigma0", 1.0),
-            k0=spec.get("k0", 0.0),
-        )
-    if kind == "box_mode":
-        return box_mode(grid, spec.get("n_mode", 1))
-    if kind == "csv":
-        f = read_complex_field(spec["path"])
-        if f.grid != grid:
-            raise ValueError(f"{spec['path']}: grid does not match the configured domain")
-        return normalize_wavefunction(f)
-    raise ValueError(f"unknown wavefunction kind {kind!r}")
-
-
-def make_potential(grid: Grid1D, spec) -> ScalarField:
-    if spec is None:
-        return ScalarField(grid, np.zeros(grid.n_points))
-    if isinstance(spec, ScalarField):
-        return spec
-    kind = spec.get("kind")
-    if kind == "zero":
-        return ScalarField(grid, np.zeros(grid.n_points))
-    if kind == "harmonic":
-        x = grid.points
-        return ScalarField(grid, 0.5 * spec.get("k", 1.0) * (x - spec.get("center", 0.0)) ** 2)
-    if kind == "csv":
-        f = read_scalar_field(spec["path"])
-        if f.grid != grid:
-            raise ValueError(f"{spec['path']}: grid does not match the configured domain")
-        return f
-    raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def make_drift(spec):
-    """Analytic drift families: zero or affine const + slope * x."""
-    if spec is None or spec.get("kind") == "zero":
-        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    if spec.get("kind") == "affine":
-        const = float(spec.get("const", 0.0))
-        slope = float(spec.get("slope", 0.0))
-        return lambda x, t: const + slope * np.asarray(x, dtype=float)
-    raise ValueError(f"unknown drift kind {spec.get('kind')!r}")
-
-
-def density_moments(rho: DensityField) -> tuple[float, float]:
-    """(mean, variance) under trapezoid quadrature."""
-    x = rho.grid.points
-    mean = float(np.dot(rho.grid.weights, x * rho.values))
-    var = float(np.dot(rho.grid.weights, (x - mean) ** 2 * rho.values))
-    return mean, var

@@ -7,16 +7,12 @@ instead of resampling silently.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryMassWarning, GridMismatch, NonPositiveMass
-
-#: relative magnitude below which a field value counts as negligible at the walls
-BOUNDARY_NEGLIGIBLE = 1e-12
+from .errors import GridMismatch, NonPositiveMass
 
 
 @dataclass(frozen=True)
@@ -207,85 +203,8 @@ def log_gradient(f: ScalarField, floor: float = 0.0) -> ScalarField:
     return ScalarField(f.grid, _gradient_values(np.log(v), f.grid.h))
 
 
-def boundary_fraction(f) -> float:
-    """Largest wall magnitude relative to the field's peak magnitude."""
-    mags = np.abs(f.values)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0.0
-    return float(max(mags[0], mags[-1]) / peak)
-
-
-def check_boundary_mass(f, rel_tol: float = BOUNDARY_NEGLIGIBLE, what: str = "field"):
-    """Warn when a field is not negligible at the domain walls.
-
-    The endpoint derivative stencils only stay irrelevant when the domain is
-    wide enough that fields vanish there; this is the monitor for that premise.
-    """
-    frac = boundary_fraction(f)
-    if frac > rel_tol:
-        warnings.warn(
-            f"{what} carries relative magnitude {frac:.2e} at the domain walls "
-            f"(tolerance {rel_tol:.1e}); widen the domain",
-            BoundaryMassWarning,
-            stacklevel=2,
-        )
-
-
 def l1_distance(f, g) -> float:
     """Quadrature L1 distance between two fields."""
     require_same_grid(f, g)
     return float(np.dot(f.grid.weights, np.abs(f.values - g.values)))
 
-
-def sup_distance(f, g) -> float:
-    require_same_grid(f, g)
-    return float(np.max(np.abs(f.values - g.values)))
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization: two columns "x,value" for real fields, three columns
-# "x,re,im" for complex ones, full double precision.
-
-FLOAT_FMT = "%.17g"
-
-
-def write_field_csv(path, f) -> None:
-    x = f.grid.points
-    with open(path, "w") as fh:
-        if np.iscomplexobj(f.values):
-            fh.write("x,re,im\n")
-            for xi, vi in zip(x, f.values):
-                fh.write(
-                    f"{FLOAT_FMT % xi},{FLOAT_FMT % vi.real},{FLOAT_FMT % vi.imag}\n"
-                )
-        else:
-            fh.write("x,value\n")
-            for xi, vi in zip(x, f.values):
-                fh.write(f"{FLOAT_FMT % xi},{FLOAT_FMT % vi}\n")
-
-
-def _read_columns(path, expected_header):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != expected_header:
-            raise ValueError(f"{path}: expected header {expected_header!r}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    x = data[:, 0]
-    if x.shape[0] < 3:
-        raise ValueError(f"{path}: need at least 3 rows")
-    h = np.diff(x)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=0):
-        raise ValueError(f"{path}: grid spacing is not uniform")
-    grid = Grid1D(float(x[0]), float(x[-1]), x.shape[0])
-    return grid, data
-
-
-def read_scalar_field(path) -> ScalarField:
-    grid, data = _read_columns(path, "x,value")
-    return ScalarField(grid, data[:, 1])
-
-
-def read_complex_field(path) -> ComplexField:
-    grid, data = _read_columns(path, "x,re,im")
-    return ComplexField(grid, data[:, 1] + 1j * data[:, 2])

@@ -82,15 +82,6 @@ class TransitionKernel:
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
 
-    def write_csv(self, path) -> None:
-        """Debug dump: header row of grid points, then the folded matrix."""
-        from .grid import FLOAT_FMT
-
-        with open(path, "w") as fh:
-            fh.write(",".join(FLOAT_FMT % x for x in self.grid.points) + "\n")
-            for row in self.matrix:
-                fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
-
 
 def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKernel:
     """Gaussian kernel [2 pi sigma2 (t-s)]^(-1/2) exp(-(x-y)^2 / (2 sigma2 (t-s))).
@@ -203,27 +194,6 @@ def propagate_backward(kernel: TransitionKernel, g: ScalarField) -> ScalarField:
     require_same_grid(kernel, g)
     w = kernel.grid.weights
     return ScalarField(kernel.grid, (kernel.matrix.T @ (w * g.values)) / w)
-
-
-def log_propagate_forward(kernel: TransitionKernel, log_f: np.ndarray) -> np.ndarray:
-    """propagate_forward of a heat kernel in the log domain."""
-    return log_heat_propagate(kernel.grid, log_f, _heat_variance(kernel))
-
-
-def log_propagate_backward(kernel: TransitionKernel, log_g: np.ndarray) -> np.ndarray:
-    """propagate_backward of a heat kernel in the log domain.
-
-    The Gaussian kernel is symmetric, so this is the forward map.
-    """
-    return log_heat_propagate(kernel.grid, log_g, _heat_variance(kernel))
-
-
-def _heat_variance(kernel: TransitionKernel) -> float:
-    if kernel.variance is None:
-        raise ValueError(
-            "log-domain propagation needs a heat kernel with a recorded variance"
-        )
-    return kernel.variance
 
 
 def two_sided_profile(

