@@ -1,12 +1,13 @@
 """Classical and quantum Schrodinger bridges on uniform 1-D grids.
 
-Classical side: heat-kernel transition matrices, the Fortet/Sinkhorn solver
-for the two-marginal potential system, bridge densities and drifts, half
-bridges, and Girsanov path-entropy bookkeeping. Quantum side: a norm- and
-reversibility-exact Schrodinger solver, Nelson current/osmotic drifts, the
-terminal reconditioning of a wavefunction path on a measured density, and
-the region-conditioning (collapse) operator. Euler-Maruyama sampling closes
-the loop between densities, drifts, and trajectories.
+Classical side: the Wiener heat kernel and its log-domain propagator, the
+Fortet/Sinkhorn solver for the two-marginal potential system, bridge
+densities and drifts, half bridges, and Girsanov path-entropy bookkeeping.
+Quantum side: a norm- and reversibility-exact Schrodinger solver, Nelson
+current/osmotic drifts, the terminal reconditioning of a wavefunction path
+on a measured density, and the region-conditioning (collapse) operator.
+Euler-Maruyama sampling closes the loop between densities, drifts, and
+trajectories.
 """
 
 from . import errors
@@ -19,7 +20,6 @@ from .bridge import (
     bridge_drift_fields,
     floor_density,
     half_bridge,
-    sinkhorn_potentials,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,
@@ -51,15 +51,7 @@ from .grid import (
     log_gradient,
     normalize,
 )
-from .kernels import (
-    TransitionKernel,
-    compose,
-    heat_kernel,
-    propagate_backward,
-    propagate_forward,
-    two_sided_density,
-    two_sided_profile,
-)
+from .kernels import TransitionKernel, heat_kernel
 from .quantum import (
     DriftDecomposition,
     QuantumModel,

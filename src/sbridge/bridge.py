@@ -10,9 +10,9 @@ Every propagation of a potential or density, in the solver, the marginal
 residuals, the time-t potentials, the drift sweeps and the prior flow, is
 one call of kernels.log_heat_propagate with variance sigma2 times the time
 span: a direct Toeplitz convolution over the 2n - 1 kernel samples, with
-exact log-sum-exp rows where it underflows. No per-time kernel matrix is
-built, and no FFT is used, because FFT error is absolute and the 1e-30
-density floor depends on the tails keeping their relative accuracy. Each
+exact log-sum-exp rows where it underflows. No kernel matrix is built,
+and no FFT is used, because FFT error is absolute and the 1e-30 density
+floor depends on the tails keeping their relative accuracy. Each
 time is propagated directly from the stored endpoint potential, never by
 compounding a one-step kernel, which would compound its aliasing error
 when the step is under-resolved (sqrt(sigma2 dt) < h).
@@ -49,31 +49,29 @@ from .kernels import TransitionKernel, log_heat_propagate
 DENSITY_FLOOR = 1e-30
 
 
-def floor_density(rho: DensityField, rel_floor: float = DENSITY_FLOOR) -> DensityField:
-    """Floor a density at rel_floor times its peak and renormalize.
+def floor_density(rho: DensityField) -> DensityField:
+    """Floor a density at DENSITY_FLOOR times its peak and renormalize.
 
     The solver assumes everywhere-positive marginals; the floor enforces that
     premise explicitly instead of failing on exact zeros.
     """
-    floored = np.maximum(rho.values, rel_floor * rho.values.max())
+    floored = np.maximum(rho.values, DENSITY_FLOOR * rho.values.max())
     return normalize(ScalarField(rho.grid, floored))
 
 
 @dataclass(frozen=True)
 class BridgeProblem:
-    """Two prescribed marginals over a reference kernel.
+    """Two prescribed marginals over the Wiener reference process.
 
-    prior_forward_drift is the reference model's forward drift b(x, t); None
-    means the Wiener prior (zero drift). The kernel must be the heat kernel of
-    variance sigma2 * (t1 - t0). Marginals are floored to be strictly
-    positive at construction.
+    The kernel must be the heat kernel of variance sigma2 * (t1 - t0); the
+    prior has zero drift. Marginals are floored to be strictly positive at
+    construction.
     """
 
     rho0: DensityField
     rho1: DensityField
     kernel: TransitionKernel
     sigma2: float
-    prior_forward_drift: object = None
 
     def __post_init__(self):
         require_same_grid(self.rho0, self.rho1, self.kernel)
@@ -81,7 +79,7 @@ class BridgeProblem:
             raise ValueError(f"need sigma2 > 0, got {self.sigma2}")
         expected = self.sigma2 * (self.t1 - self.t0)
         v = self.kernel.variance
-        if v is None or abs(v - expected) > 1e-12 * expected:
+        if abs(v - expected) > 1e-12 * expected:
             raise ValueError(
                 f"kernel variance {v} is not sigma2 * (t1 - t0) = {expected}"
             )
@@ -132,29 +130,6 @@ class BridgeSolution:
         res0 = float(np.dot(w, np.abs(r0 - self.problem.rho0.values)))
         res1 = float(np.dot(w, np.abs(r1 - self.problem.rho1.values)))
         return res0, res1
-
-
-def sinkhorn_potentials(matrix, rho0_mass, rho1_mass, tol, max_iter):
-    """Linear-domain alternating scaling on a raw folded-kernel matrix.
-
-    Array-level core used for hand-checkable toy problems and as an
-    independent cross-check of the log-domain solver; production solves go
-    through solve_schrodinger_system. Marginals are mass vectors (already
-    multiplied by quadrature weights). Returns (phi1, phihat0, iterations,
-    residual) with the L1 residual measured on the mass vectors.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    phihat0 = np.asarray(rho0_mass, dtype=float).copy()
-    phi1 = np.ones_like(rho1_mass, dtype=float)
-    for it in range(1, max_iter + 1):
-        phihat1 = matrix @ phihat0
-        res = float(np.abs(phi1 * phihat1 - rho1_mass).sum())
-        if res < tol:
-            return phi1, phihat0, it, res
-        phi1 = rho1_mass / phihat1
-        phi0 = matrix.T @ phi1
-        phihat0 = rho0_mass / phi0
-    raise NoConvergence(max_iter, res)
 
 
 def solve_schrodinger_system(
@@ -265,7 +240,7 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
 
 
 def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
-    """Forward drift of the bridge at time t: prior drift + sigma2 * grad log phi.
+    """Forward drift of the bridge at time t: sigma2 * grad log phi(., t).
 
     t must lie in [t0, t1].
     """
@@ -280,10 +255,7 @@ def _drift_at(sol: BridgeSolution, t, at_t1) -> ScalarField:
     if not np.all(np.isfinite(log_phi)):
         raise DegeneratePotential(f"phi(., {t}) underflowed")
     grid = p.kernel.grid
-    score = p.sigma2 * _gradient_values(log_phi, grid.h)
-    if p.prior_forward_drift is not None:
-        score = score + np.asarray(p.prior_forward_drift(grid.points, t), dtype=float)
-    return ScalarField(grid, score)
+    return ScalarField(grid, p.sigma2 * _gradient_values(log_phi, grid.h))
 
 
 @dataclass(frozen=True)
@@ -346,7 +318,6 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
         rho1=p.rho0,
         kernel=p.kernel,
         sigma2=p.sigma2,
-        prior_forward_drift=p.prior_forward_drift,
     )
     return BridgeSolution(
         problem=reversed_problem,
@@ -403,19 +374,3 @@ def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> li
         ScalarField(rho.grid, -sigma2 * log_gradient(rho).values) for rho in flows
     ]
 
-
-__all__ = [
-    "BridgeProblem",
-    "BridgeSolution",
-    "HalfBridgeModel",
-    "bridge_density",
-    "bridge_drift",
-    "floor_density",
-    "half_bridge",
-    "sinkhorn_potentials",
-    "solve_schrodinger_system",
-    "time_reverse",
-    "bridge_drift_fields",
-    "wiener_marginal_flow",
-    "wiener_backward_drift_fields",
-]

@@ -14,28 +14,27 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SupportViolation
-from .grid import DensityField, require_same_grid
+from .grid import DensityField, require_negligible_mass, require_same_grid
 from .sde import path_integral
 
 #: values below this fraction of the peak contribute nothing to divergences
 KL_FLOOR = 1e-30
 
 
-def kl_divergence(p: DensityField, q: DensityField, rel_floor: float = KL_FLOOR) -> float:
+def kl_divergence(p: DensityField, q: DensityField) -> float:
     """Divergence integral of p log(p/q), with 0 log 0 = 0.
 
-    Both densities are floored at rel_floor times their own peak; mass of p
-    above its floor where q sits at or below its floor raises
-    SupportViolation rather than returning an arbitrary large number.
+    Points where p or q sits at or below KL_FLOOR times its own peak
+    contribute nothing. Where q does, p may carry at most STRAY_MASS_TOL of
+    mass (grid.require_negligible_mass); more raises SupportViolation rather
+    than returning an arbitrary large number.
     """
     require_same_grid(p, q)
     pv, qv = p.values, q.values
-    p_floor = rel_floor * pv.max()
-    q_floor = rel_floor * qv.max()
-    live = pv > p_floor
-    if np.any(live & (qv <= q_floor)):
-        raise SupportViolation("p carries mass where q vanishes")
+    live = pv > KL_FLOOR * pv.max()
+    q_dead = qv <= KL_FLOOR * qv.max()
+    require_negligible_mass(p, live & q_dead, "p")
+    live &= ~q_dead
     ratio = np.ones_like(pv)
     np.divide(pv, qv, out=ratio, where=live)
     integrand = np.where(live, pv * np.log(ratio), 0.0)

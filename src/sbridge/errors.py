@@ -18,11 +18,7 @@ class InvalidInterval(ToolkitError):
 
 
 class TimeMismatch(ToolkitError):
-    """Kernel time stamps do not line up for composition or evaluation."""
-
-
-class DegenerateDenominator(ToolkitError):
-    """Two-sided transition density evaluated where the pinning density vanishes."""
+    """A requested time lies outside the interval of a bridge."""
 
 
 class NoConvergence(ToolkitError):

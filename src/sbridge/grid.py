@@ -12,7 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveMass
+from .errors import GridMismatch, NonPositiveMass, SupportViolation
+
+#: largest quadrature mass a unit-mass density may carry where a reference
+#: vanishes and still count as supported by it
+STRAY_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError(f"need finite walls, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
 
@@ -45,13 +51,6 @@ class Grid1D:
         w[0] = w[-1] = self.h / 2.0
         w.setflags(write=False)
         return w
-
-    def index_of(self, x: float) -> int:
-        """Index of the grid point equal to x; raises if x is off-grid."""
-        i = int(round((x - self.x_min) / self.h))
-        if i < 0 or i >= self.n_points or abs(self.points[i] - x) > 1e-9 * self.h:
-            raise ValueError(f"{x} is not a grid point of {self}")
-        return i
 
 
 class ScalarField:
@@ -122,6 +121,17 @@ def require_same_grid(*objs):
         if o.grid != g0:
             raise GridMismatch(f"grids differ: {g0} vs {o.grid}")
     return g0
+
+
+def require_negligible_mass(rho: ScalarField, where: np.ndarray, what: str) -> None:
+    """Raise SupportViolation when rho carries more than STRAY_MASS_TOL of mass on where.
+
+    where marks the points at which a reference density vanishes; what names
+    rho in the message.
+    """
+    stray = float(np.dot(rho.grid.weights[where], rho.values[where]))
+    if stray > STRAY_MASS_TOL:
+        raise SupportViolation(f"{what} carries mass {stray:.3e} where its reference vanishes")
 
 
 def integrate(f) -> float:

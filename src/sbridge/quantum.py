@@ -24,7 +24,6 @@ from scipy.linalg import solve_banded
 from .errors import (
     BoundaryMassWarning,
     GridMismatch,
-    SupportViolation,
     TerminalMismatch,
     ZeroProbabilityRegion,
 )
@@ -34,6 +33,7 @@ from .grid import (
     Grid1D,
     ScalarField,
     _gradient_values,
+    require_negligible_mass,
 )
 
 #: relative probability-density floor below which a point counts as a node
@@ -53,8 +53,8 @@ class QuantumModel:
     grid: Grid1D
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.m > 0):
-            raise ValueError("need hbar > 0 and m > 0")
+        if not (0 < self.hbar < np.inf and 0 < self.m < np.inf):
+            raise ValueError(f"need finite hbar > 0 and m > 0, got {self.hbar}, {self.m}")
         if self.potential.grid != self.grid:
             raise GridMismatch("potential lives on a different grid")
 
@@ -239,19 +239,19 @@ class DriftDecomposition:
     mask: np.ndarray
 
 
-def drifts(psi: ComplexField, model: QuantumModel, node_floor: float = NODE_FLOOR) -> DriftDecomposition:
+def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
     """Current/osmotic decomposition of the drift of the |psi|^2 diffusion.
 
     u = (hbar/2m) d/dx log|psi|^2 and v = (hbar/m) Im(psi'/psi); both are
     computed from derivatives of the state itself, never from an unwrapped
-    phase. Points with |psi|^2 at or below node_floor times the peak are
+    phase. Points with |psi|^2 at or below NODE_FLOOR times the peak are
     masked out and set to zero.
     """
     if psi.grid != model.grid:
         raise GridMismatch("state and model grids differ")
     grid = model.grid
     rho = np.abs(psi.values) ** 2
-    mask = rho > node_floor * rho.max()
+    mask = rho > NODE_FLOOR * rho.max()
 
     log_rho = np.log(np.maximum(rho, np.finfo(float).tiny))
     u_vals = (model.hbar / (2.0 * model.m)) * _gradient_values(log_rho, grid.h)
@@ -278,22 +278,16 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     The terminal state is replaced by sqrt(rho1 / |psi(t1)|^2) * psi(t1) --
     same phase, new amplitude, with no phase ever extracted -- and evolved
     backward to t0 under the same model. SupportViolation is raised when
-    rho1 places more than negligible mass (1e-10) over the node region of
-    the reference state; points where the reference density is not
-    representable at all contribute zero.
+    rho1 places more than STRAY_MASS_TOL of mass over the node region of
+    the reference state (grid.require_negligible_mass); points where the
+    reference density is not representable at all contribute zero.
     """
     if rho1.grid != path.model.grid:
         raise GridMismatch("terminal density grid differs from model grid")
     grid = path.model.grid
     psi1 = path.states[-1]
     rho = np.abs(psi1.values) ** 2
-    node = rho <= NODE_FLOOR * rho.max()
-    stray_mass = float(np.dot(grid.weights[node], rho1.values[node])) if node.any() else 0.0
-    if stray_mass > 1e-10:
-        raise SupportViolation(
-            f"terminal density carries mass {stray_mass:.3e} where the "
-            "reference state vanishes"
-        )
+    require_negligible_mass(rho1, rho <= NODE_FLOOR * rho.max(), "terminal density")
     # replace the amplitude pointwise wherever the reference density is
     # representable, so the identity case stays exact to roundoff
     dead = rho < 1e-250

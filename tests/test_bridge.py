@@ -9,7 +9,6 @@ from sbridge.bridge import (
     bridge_drift_fields,
     floor_density,
     half_bridge,
-    sinkhorn_potentials,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,
@@ -19,8 +18,10 @@ from sbridge.entropy import kl_divergence, path_entropy_forward
 from sbridge.errors import NoConvergence, TimeMismatch
 from sbridge.families import gaussian_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, log_gradient, normalize
-from sbridge.kernels import compose, heat_kernel, propagate_forward
+from sbridge.kernels import heat_kernel
 from sbridge.sde import GridDrift, sample_forward
+
+from oracles import heat_matrix
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def setup():
 def test_trivial_bridge_prior_marginal(setup):
     grid, kernel, _, _ = setup
     rho0 = gaussian_density(grid, 0.0, 0.5)
-    rho1 = normalize(propagate_forward(kernel, rho0))
+    rho1 = normalize(wiener_marginal_flow(rho0, [0.0, 1.0], 1.0)[-1])
     problem = BridgeProblem(rho0, rho1, kernel, 1.0)
     sol = solve_schrodinger_system(problem, tol=1e-10)
     assert sol.iterations == 1
@@ -48,28 +49,6 @@ def test_trivial_bridge_prior_marginal(setup):
     assert phi1.max() / phi1.min() - 1.0 < 1e-6
 
 
-def test_two_point_matrix_scaling_oracle():
-    # linear-domain core on a hand-built 2x2 column-stochastic kernel
-    matrix = np.array([[0.8, 0.3], [0.2, 0.7]])
-    a = np.array([0.5, 0.5])
-    b = np.array([0.3, 0.7])
-    phi1, phihat0, iters, res = sinkhorn_potentials(matrix, a, b, tol=1e-13, max_iter=1000)
-    assert res < 1e-12
-
-    # brute-force fixed point, written out independently
-    u = np.ones(2)
-    v = a.copy()
-    for _ in range(2000):
-        u = b / (matrix @ v)
-        v = a / (matrix.T @ u)
-    assert np.allclose(phi1 * (matrix @ phihat0), b, atol=1e-12)
-    assert np.allclose(u * (matrix @ v), b, atol=1e-14)
-    # same fixed point up to the scalar gauge
-    gauge = phi1[0] / u[0]
-    assert np.allclose(phi1, gauge * u, rtol=1e-8)
-    assert np.allclose(phihat0, v / gauge, rtol=1e-8)
-
-
 def test_gaussian_problem_against_independent_linear_ipf(setup):
     grid, kernel, problem, sol = setup
     assert sol.residual < 1e-10
@@ -77,22 +56,23 @@ def test_gaussian_problem_against_independent_linear_ipf(setup):
     res0, res1 = sol.marginal_residuals()
     assert max(res0, res1) < 1e-8
 
-    # independent oracle: mass-vector linear-domain IPF on the same matrix
+    # independent oracle: mass-vector linear-domain IPF on the closed-form matrix
+    matrix = heat_matrix(grid, kernel.variance)
     w = grid.weights
     a = w * problem.rho0.values
     b = w * problem.rho1.values
     u = np.ones_like(b)
     v = a.copy()
     for _ in range(5000):
-        u = b / (kernel.matrix @ v)
-        v = a / (kernel.matrix.T @ u)
-        if np.abs(u * (kernel.matrix @ v) - b).sum() < 1e-12:
+        u = b / (matrix @ v)
+        v = a / (matrix.T @ u)
+        if np.abs(u * (matrix @ v) - b).sum() < 1e-12:
             break
     # compare gauge-invariant observable: the terminal-side potential product
     plan_marginal = sol.phi1.values * np.exp(
-        np.log(np.maximum(kernel.matrix @ (w * sol.phihat0.values), 1e-300))
+        np.log(np.maximum(matrix @ (w * sol.phihat0.values), 1e-300))
     ) / w
-    oracle_marginal = u * (kernel.matrix @ v) / w
+    oracle_marginal = u * (matrix @ v) / w
     assert np.max(np.abs(plan_marginal - oracle_marginal)) < 1e-8
 
 
@@ -126,7 +106,7 @@ def test_symmetric_problem_midpoint_density_is_even(setup):
 def test_trivial_bridge_drift_is_prior_drift(setup):
     grid, kernel, _, _ = setup
     rho0 = gaussian_density(grid, 0.0, 0.5)
-    rho1 = normalize(propagate_forward(kernel, rho0))
+    rho1 = normalize(wiener_marginal_flow(rho0, [0.0, 1.0], 1.0)[-1])
     sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 1.0), tol=1e-12)
     drift = bridge_drift(sol, 0.5)
     bulk = np.abs(grid.points) <= 3.0
@@ -162,7 +142,7 @@ def test_gaussian_bridge_drift_is_affine(setup):
 def test_half_bridge_values(setup):
     grid, kernel, _, _ = setup
     rho0 = gaussian_density(grid, 0.0, 1.0)
-    prior_t1 = normalize(propagate_forward(kernel, rho0))
+    prior_t1 = normalize(wiener_marginal_flow(rho0, [0.0, 1.0], 1.0)[-1])
 
     hb_trivial = half_bridge(prior_t1, lambda x, t: 0 * x, prior_t1, 0.0, 1.0, 1.0)
     assert hb_trivial.optimal_value == 0.0
@@ -291,7 +271,7 @@ def test_narrow_solve_over_exact_zero_kernel_band():
     # at sigma2 = 0.05 kernel entries vanish exactly beyond |x - y| = 8.6
     grid = Grid1D(-8.0, 8.0, 401)
     kernel = heat_kernel(grid, 0.0, 1.0, 0.05)
-    assert np.any(kernel.matrix == 0.0)
+    assert np.any(heat_matrix(grid, kernel.variance) == 0.0)
     rho0 = gaussian_density(grid, -1.0, 0.25)
     rho1 = mixture_density(grid, [
         (0.6, {"kind": "gaussian", "mean": 0.5, "var": 0.1}),
@@ -320,11 +300,6 @@ def test_problem_rejects_kernel_of_other_variance(setup):
         BridgeProblem(problem.rho0, problem.rho1, kernel, 0.5)
     with pytest.raises(ValueError):
         BridgeProblem(problem.rho0, problem.rho1, heat_kernel(grid, 0.0, 1.0, 2.0), 1.0)
-    # a composed kernel records no variance, so it cannot be the Wiener reference
-    composed = compose(heat_kernel(grid, 0.0, 0.5, 1.0), heat_kernel(grid, 0.5, 1.0, 1.0))
-    assert composed.variance is None
-    with pytest.raises(ValueError):
-        BridgeProblem(problem.rho0, problem.rho1, composed, 1.0)
 
 
 def test_times_outside_the_problem_interval_are_rejected(setup):

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from sbridge.entropy import (
     kl_divergence,
@@ -8,7 +11,7 @@ from sbridge.entropy import (
 )
 from sbridge.errors import SupportViolation
 from sbridge.families import gaussian_density
-from sbridge.grid import Grid1D, ScalarField, normalize
+from sbridge.grid import DensityField, Grid1D, ScalarField, normalize
 from sbridge.sde import sample_backward, sample_forward
 
 
@@ -52,6 +55,27 @@ def test_kl_support_violation(grid):
     q = normalize(ScalarField(grid, chi))
     with pytest.raises(SupportViolation):
         kl_divergence(p, q)
+
+
+@st.composite
+def tailed_pairs(draw):
+    # q = N(0, 1/2) drops below 1e-30 of its peak at |x| > 8.3 but stays positive
+    grid = Grid1D(-10.0, 10.0, 401)
+    q = gaussian_density(grid, 0.0, 0.5)
+    p = gaussian_density(grid, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 0.25)))
+    far = np.abs(grid.points) >= 8.0
+    shape = draw(hnp.arrays(float, int(far.sum()), elements=st.floats(1e-6, 1.0)))
+    tail = np.zeros(grid.n_points)
+    tail[far] = shape / np.dot(grid.weights[far], shape) * draw(st.floats(0.0, 1e-20))
+    return p, DensityField(grid, p.values + tail), q
+
+
+@given(tailed_pairs())
+def test_kl_ignores_a_negligible_tail_over_tiny_q(case):
+    p, p_tailed, q = case
+    kl = kl_divergence(p_tailed, q)
+    assert np.isfinite(kl) and kl >= 0.0
+    assert abs(kl - kl_divergence(p, q)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

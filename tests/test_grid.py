@@ -29,13 +29,13 @@ def test_grid_basic_invariants():
     assert np.all(np.diff(g.points) > 0)
     assert g.weights[0] == g.weights[-1] == g.h / 2
     assert np.all(g.weights[1:-1] == g.h)
-    assert g.index_of(g.points[7]) == 7
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         Grid1D(1.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        g.index_of(0.123)
+    for lo, hi in [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)]:
+        with pytest.raises(ValueError):
+            Grid1D(lo, hi, 11)
 
 
 def test_integrate_constant_exact():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -7,23 +8,11 @@ import pytest
 from hypothesis import given
 from scipy.special import erf
 
-from sbridge.errors import (
-    DegenerateDenominator,
-    GridMismatch,
-    InvalidInterval,
-    TimeMismatch,
-    TruncationWarning,
-)
+from sbridge.errors import InvalidInterval, TruncationWarning
 from sbridge.grid import Grid1D, ScalarField, inner, integrate, normalize
-from sbridge.kernels import (
-    compose,
-    heat_kernel,
-    log_heat_propagate,
-    propagate_backward,
-    propagate_forward,
-    two_sided_density,
-    two_sided_profile,
-)
+from sbridge.kernels import heat_kernel, log_heat_propagate
+
+from oracles import heat_matrix
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +29,36 @@ def gaussian(grid, mean, var):
     return normalize(ScalarField(grid, np.exp(-((grid.points - mean) ** 2) / (2 * var))))
 
 
+def propagate(f, variance):
+    """The Wiener kernel of the given variance applied to a positive field f."""
+    with np.errstate(divide="ignore"):
+        log_f = np.log(f.values)
+    return ScalarField(f.grid, np.exp(log_heat_propagate(f.grid, log_f, variance)))
+
+
+def point_mass(grid, i):
+    """Unit-mass spike at x_i: propagating it gives column i of the unfolded kernel."""
+    values = np.zeros(grid.n_points)
+    values[i] = 1.0 / grid.weights[i]
+    return ScalarField(grid, values)
+
+
 def test_heat_kernel_diagonal_value(grid, k01):
-    i = grid.index_of(0.0)
-    assert k01.density(0.0, 0.0) == pytest.approx((2 * np.pi) ** -0.5, abs=1e-7)
-    assert k01.matrix[i, i] == pytest.approx((2 * np.pi) ** -0.5 * grid.weights[i])
+    i = grid.n_points // 2  # x_i = 0
+    column = propagate(point_mass(grid, i), k01.variance).values
+    assert column[i] == pytest.approx((2 * np.pi) ** -0.5, abs=1e-7)
 
 
 def test_heat_kernel_symmetry_in_arguments(grid, k01):
-    w = grid.weights
-    unfolded = k01.matrix / w[None, :]
+    unfolded = np.column_stack(
+        [propagate(point_mass(grid, i), k01.variance).values for i in range(grid.n_points)]
+    )
     assert np.array_equal(unfolded, unfolded.T)
 
 
 def test_heat_kernel_interior_row_sums(grid, k01):
     # rows with a 6-sigma margin keep all but an erf-bounded tail of their mass
-    sums = k01.row_sums()
+    sums = propagate(ScalarField(grid, np.ones(grid.n_points)), k01.variance).values
     interior = np.abs(grid.points) <= 4.0
     tail_bound = 1.0 - erf(6.0 / np.sqrt(2.0))
     assert np.max(np.abs(sums[interior] - 1.0)) < max(1e-6, 2 * tail_bound)
@@ -69,81 +73,77 @@ def test_heat_kernel_rejects_bad_arguments(grid):
         heat_kernel(grid, 0.0, 1.0, -1.0)
 
 
+def test_heat_kernel_builds_no_matrix():
+    # the n x n float array alone would be 30.5 MB at n = 2001
+    grid = Grid1D(-8.0, 8.0, 2001)
+    tracemalloc.start()
+    try:
+        heat_kernel(grid, 0.0, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_truncation_warning_on_narrow_domain():
     narrow = Grid1D(-2.0, 2.0, 81)
     with pytest.warns(TruncationWarning):
         heat_kernel(narrow, 0.0, 1.0, 1.0)
 
 
-def test_compose_matches_direct_kernel_on_bulk(grid, k01):
-    k12 = heat_kernel(grid, 1.0, 2.0, 1.0)
-    k02 = heat_kernel(grid, 0.0, 2.0, 1.0)
-    composed = compose(k01, k12)
-    assert composed.s == 0.0 and composed.t == 2.0
-    bulk = np.abs(grid.points) <= 5.0
-    err = np.max(np.abs(composed.matrix[np.ix_(bulk, bulk)]
-                        - k02.matrix[np.ix_(bulk, bulk)]))
-    assert err < 1e-4
-
-
-def test_compose_with_near_identity_kernel(grid, k01):
-    eps = 1e-3
-    tail = heat_kernel(grid, 1.0, 1.0 + eps, 1.0)
-    perturbed = compose(k01, tail)
-    bulk = np.abs(grid.points) <= 5.0
-    err = np.max(np.abs(perturbed.matrix[np.ix_(bulk, bulk)]
-                        - k01.matrix[np.ix_(bulk, bulk)]))
-    assert 0 < err < 5e-3
-
-
-def test_compose_preserves_interior_stochasticity(grid, k01):
-    k12 = heat_kernel(grid, 1.0, 2.0, 1.0)
-    composed = compose(k01, k12)
-    sums = composed.row_sums()
-    # interior margin of the composed kernel itself: 6 sigma sqrt(u - s)
-    interior = np.abs(grid.points) <= 10.0 - 6.0 * np.sqrt(composed.t - composed.s)
+def test_chapman_kolmogorov_on_bulk(grid, k01):
+    # v1 then v2 equals v1 + v2, up to the domain cut of the intermediate field
+    bulk = np.flatnonzero(np.abs(grid.points) <= 5.0)
+    for i in bulk:
+        spike = point_mass(grid, i)
+        two_step = propagate(propagate(spike, 1.0), 1.0).values
+        direct = propagate(spike, 2.0).values
+        # folded by the source weight, as kernel entries K[., i] = p(., x_i) w_i
+        err = np.max(np.abs(two_step[bulk] - direct[bulk])) * grid.weights[i]
+        assert err < 1e-4
+        # a near-identity second step moves the result, but only a little
+        near = propagate(propagate(spike, 1.0), 1e-3).values
+        once = propagate(spike, 1.0).values
+        assert 0 < np.max(np.abs(near[bulk] - once[bulk])) * grid.weights[i] < 5e-3
+    # the two-step kernel keeps its interior rows stochastic, with its own 6-sigma margin
+    ones = ScalarField(grid, np.ones(grid.n_points))
+    sums = propagate(propagate(ones, 1.0), 1.0).values
+    interior = np.abs(grid.points) <= 10.0 - 6.0 * np.sqrt(2.0)
     assert np.max(np.abs(sums[interior] - 1.0)) < 2e-6
-
-
-def test_compose_validates_times_and_grids(grid, k01):
-    with pytest.raises(TimeMismatch):
-        compose(k01, heat_kernel(grid, 1.5, 2.0, 1.0))
-    other = Grid1D(-10.0, 10.0, 201)
-    with pytest.raises(GridMismatch):
-        compose(k01, heat_kernel(other, 1.0, 2.0, 1.0))
 
 
 def test_propagate_forward_conserves_mass(grid, k01):
     rho = gaussian(grid, 0.0, 0.25)
-    out = propagate_forward(k01, rho)
+    out = propagate(rho, k01.variance)
     assert integrate(out) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_propagate_forward_gaussian_convolution_oracle(grid):
     k = heat_kernel(grid, 0.0, 0.5, 1.0)
     rho = gaussian(grid, 0.0, 0.25)
-    out = propagate_forward(k, rho)
+    out = propagate(rho, k.variance)
     target = np.exp(-grid.points**2 / (2 * 0.75)) / np.sqrt(2 * np.pi * 0.75)
     assert np.max(np.abs(out.values - target)) < 1e-5
 
 
 def test_propagate_forward_fixes_constants_in_interior(grid, k01):
     ones = ScalarField(grid, np.ones(grid.n_points))
-    out = propagate_forward(k01, ones)
+    out = propagate(ones, k01.variance)
     interior = np.abs(grid.points) <= 4.0
     assert np.max(np.abs(out.values[interior] - 1.0)) < 1e-6
 
 
 def test_propagate_backward_harmonicity_of_constants(grid, k01):
+    # the backward map K^T (w g) / w of the symmetric Wiener kernel is the engine itself
     ones = ScalarField(grid, np.ones(grid.n_points))
-    out = propagate_backward(k01, ones)
+    out = propagate(ones, k01.variance)
     interior = np.abs(grid.points) <= 4.0
     assert np.max(np.abs(out.values[interior] - 1.0)) < 1e-6
 
 
 def test_backward_is_adjoint_not_inverse(grid, k01):
     rho = gaussian(grid, 1.0, 0.5)
-    round_trip = propagate_backward(k01, propagate_forward(k01, rho))
+    round_trip = propagate(propagate(rho, k01.variance), k01.variance)
     # smoothing twice, not undoing: the round trip is far from the input
     assert np.max(np.abs(round_trip.values - rho.values)) > 1e-2
 
@@ -153,8 +153,8 @@ def test_adjoint_duality_pairing(grid, k01, seed):
     rng = np.random.default_rng(seed)
     f = ScalarField(grid, rng.uniform(0.0, 1.0, grid.n_points))
     g = ScalarField(grid, rng.uniform(0.0, 1.0, grid.n_points))
-    lhs = inner(propagate_backward(k01, g), f)
-    rhs = inner(g, propagate_forward(k01, f))
+    lhs = inner(propagate(g, k01.variance), f)
+    rhs = inner(g, propagate(f, k01.variance))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
@@ -162,40 +162,11 @@ def test_log_propagation_matches_linear(grid, k01):
     rho = gaussian(grid, -1.0, 0.3)
     log_in = np.log(np.maximum(rho.values, 1e-300))
     out = np.exp(log_heat_propagate(grid, log_in, k01.variance))
-    assert np.max(np.abs(out - propagate_forward(k01, rho).values)) < 1e-12
-    assert np.max(np.abs(out - propagate_backward(k01, rho).values)) < 1e-12
-
-
-def test_two_sided_profile_is_conditional_density(grid, k01):
-    k12 = heat_kernel(grid, 1.0, 2.0, 1.0)
-    for x, z in [(0.0, 0.0), (-1.0, 2.0), (3.0, -2.0)]:
-        q = two_sided_profile(k01, k12, x, z)
-        assert abs(np.dot(grid.weights, q) - 1.0) < 1e-5
-
-
-def test_two_sided_brownian_bridge_moments(grid):
-    k_first = heat_kernel(grid, 0.0, 0.5, 1.0)
-    k_second = heat_kernel(grid, 0.5, 1.0, 1.0)
-    q = two_sided_profile(k_first, k_second, 0.0, 0.0)
-    mean = np.dot(grid.weights, grid.points * q)
-    var = np.dot(grid.weights, grid.points**2 * q)
-    assert abs(mean) < 1e-8
-    assert var == pytest.approx(0.25, abs=1e-4)  # t (u - t) / (u - s)
-
-
-def test_two_sided_density_single_point(grid):
-    k_first = heat_kernel(grid, 0.0, 0.5, 1.0)
-    k_second = heat_kernel(grid, 0.5, 1.0, 1.0)
-    q0 = two_sided_density(k_first, k_second, 0.0, 0.0, 0.0)
-    # pinned bridge at midpoint: N(0, 0.25) at its mode
-    assert q0 == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.25), rel=1e-4)
-
-
-def test_two_sided_degenerate_denominator(grid):
-    k_first = heat_kernel(grid, 0.0, 1e-4, 1.0)
-    k_second = heat_kernel(grid, 1e-4, 2e-4, 1.0)
-    with pytest.raises(DegenerateDenominator):
-        two_sided_profile(k_first, k_second, -10.0, 10.0)
+    matrix = heat_matrix(grid, k01.variance)
+    w = grid.weights
+    # forward K rho and backward (adjoint) K^T (w rho) / w of the matrix oracle
+    assert np.max(np.abs(out - matrix @ rho.values)) < 1e-12
+    assert np.max(np.abs(out - (matrix.T @ (w * rho.values)) / w)) < 1e-12
 
 
 def test_truncation_warning_on_under_resolved_kernel():

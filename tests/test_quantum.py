@@ -62,6 +62,15 @@ def overlap(a, b):
     return complex(np.dot(a.grid.weights, np.conj(a.values) * b.values))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_model_rejects_non_positive_or_non_finite_constants(grid, bad):
+    zero = ScalarField(grid, np.zeros(grid.n_points))
+    with pytest.raises(ValueError):
+        QuantumModel(bad, 1.0, zero, grid)
+    with pytest.raises(ValueError):
+        QuantumModel(1.0, bad, zero, grid)
+
+
 def test_step_preserves_norm(model, packet):
     out = crank_nicolson_step(packet, model, 1e-2)
     assert abs(norm_l2(out) - 1.0) < 1e-12
