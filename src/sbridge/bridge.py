@@ -35,6 +35,7 @@ from .errors import (
     TimeMismatch,
 )
 from .grid import (
+    DENSITY_FLOOR,
     DensityField,
     ScalarField,
     _gradient_values,
@@ -44,9 +45,6 @@ from .grid import (
     require_same_grid,
 )
 from .kernels import TransitionKernel, log_heat_propagate
-
-#: marginals are floored at this fraction of their peak before taking logs
-DENSITY_FLOOR = 1e-30
 
 
 def floor_density(rho: DensityField) -> DensityField:
@@ -109,7 +107,6 @@ class BridgeSolution:
     iterations: int
     residual: float
     residual_history: np.ndarray = field(repr=False, default=None)
-    gauge_shift: float = 0.0
 
     @property
     def phi1(self) -> ScalarField:
@@ -185,7 +182,6 @@ def solve_schrodinger_system(
         iterations=iterations,
         residual=residual,
         residual_history=np.asarray(history),
-        gauge_shift=shift,
     )
 
 
@@ -242,14 +238,9 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
 def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
     """Forward drift of the bridge at time t: sigma2 * grad log phi(., t).
 
-    t must lie in [t0, t1].
+    t must lie in [t0, t1]; log phi1 is propagated directly over [t, t1].
     """
     _, at_t1 = _check_partition(sol, t)
-    return _drift_at(sol, t, at_t1)
-
-
-def _drift_at(sol: BridgeSolution, t, at_t1) -> ScalarField:
-    """The one per-time drift path of bridge_drift and bridge_drift_fields."""
     p = sol.problem
     log_phi = _log_phi_at(sol, t, at_t1)
     if not np.all(np.isfinite(log_phi)):
@@ -326,21 +317,12 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
         iterations=sol.iterations,
         residual=sol.residual,
         residual_history=sol.residual_history,
-        gauge_shift=-sol.gauge_shift,
     )
 
 
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:
-    """Forward-drift fields of the bridge at the given interior/endpoint times.
-
-    Each time propagates the stored log phi1 directly over [t, t1]; intended
-    for feeding a time-indexed drift into the samplers.
-    """
-    fields = []
-    for t in np.asarray(times, dtype=float):
-        _, at_t1 = _check_partition(sol, t)
-        fields.append(_drift_at(sol, t, at_t1))
-    return fields
+    """bridge_drift at each of the given times, to feed a time-indexed drift to the samplers."""
+    return [bridge_drift(sol, t) for t in np.asarray(times, dtype=float)]
 
 
 def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[DensityField]:

@@ -14,25 +14,22 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import DensityField, require_negligible_mass, require_same_grid
+from .grid import DENSITY_FLOOR, DensityField, require_negligible_mass, require_same_grid
 from .sde import path_integral
-
-#: values below this fraction of the peak contribute nothing to divergences
-KL_FLOOR = 1e-30
 
 
 def kl_divergence(p: DensityField, q: DensityField) -> float:
     """Divergence integral of p log(p/q), with 0 log 0 = 0.
 
-    Points where p or q sits at or below KL_FLOOR times its own peak
+    Points where p or q sits at or below DENSITY_FLOOR times its own peak
     contribute nothing. Where q does, p may carry at most STRAY_MASS_TOL of
     mass (grid.require_negligible_mass); more raises SupportViolation rather
     than returning an arbitrary large number.
     """
     require_same_grid(p, q)
     pv, qv = p.values, q.values
-    live = pv > KL_FLOOR * pv.max()
-    q_dead = qv <= KL_FLOOR * qv.max()
+    live = pv > DENSITY_FLOOR * pv.max()
+    q_dead = qv <= DENSITY_FLOOR * qv.max()
     require_negligible_mass(p, live & q_dead, "p")
     live &= ~q_dead
     ratio = np.ones_like(pv)

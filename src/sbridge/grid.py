@@ -18,6 +18,10 @@ from .errors import GridMismatch, NonPositiveMass, SupportViolation
 #: vanishes and still count as supported by it
 STRAY_MASS_TOL = 1e-10
 
+#: a density at or below this fraction of its peak vanishes there: the bridge
+#: solver lifts its marginals to it, and divergences drop such points
+DENSITY_FLOOR = 1e-30
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -54,10 +58,12 @@ class Grid1D:
 
 
 class ScalarField:
-    """Real-valued samples on a grid."""
+    """Real-valued samples on a grid: checked finite, copied and made read-only."""
+
+    dtype = float
 
     def __init__(self, grid: Grid1D, values):
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=self.dtype)
         if values.shape != (grid.n_points,):
             raise ValueError(
                 f"expected {grid.n_points} values, got shape {values.shape}"
@@ -94,21 +100,10 @@ class DensityField(ScalarField):
                 )
 
 
-class ComplexField:
-    """Complex-valued samples on a grid."""
+class ComplexField(ScalarField):
+    """Complex-valued samples on a grid, checked and stored as a ScalarField's."""
 
-    def __init__(self, grid: Grid1D, values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.n_points,):
-            raise ValueError(
-                f"expected {grid.n_points} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        self.grid = grid
-        self.values = values
+    dtype = complex
 
     def __repr__(self):
         return f"ComplexField(n={self.grid.n_points})"
@@ -202,14 +197,15 @@ def normalize(f: ScalarField) -> DensityField:
     return DensityField(f.grid, f.values / mass, mass_tol=1e-10)
 
 
-def log_gradient(f: ScalarField, floor: float = 0.0) -> ScalarField:
+def log_gradient(f: ScalarField) -> ScalarField:
     """Derivative of log f, i.e. the score f'/f realized as d/dx log f.
 
-    Values are floored before the log so tails cannot produce -inf; the
-    realization through log makes the result exact for Gaussian-shaped
-    fields (quadratic log), which the analytic oracles rely on.
+    Values are floored at the smallest normal float before the log so tails
+    cannot produce -inf; the realization through log makes the result exact
+    for Gaussian-shaped fields (quadratic log), which the analytic oracles
+    rely on.
     """
-    v = np.maximum(f.values, max(floor, np.finfo(float).tiny))
+    v = np.maximum(f.values, np.finfo(float).tiny)
     return ScalarField(f.grid, _gradient_values(np.log(v), f.grid.h))
 
 

@@ -6,7 +6,9 @@ convention holds throughout the module: the Hamiltonian acts on the interior
 nodes, the endpoint entries of a state pass through every step unchanged, and
 norms are trapezoid quadratures. The step therefore preserves the trapezoid
 norm exactly, a negative step is exactly inverse to a positive one, and the
-box modes of families.box_mode are exact eigenvectors. On top of the evolved
+box modes of families.box_mode are exact eigenvectors. evolve factors the
+step's tridiagonal matrix once and writes each step into one row of a
+time-major array, which a WavefunctionPath stores. On top of the evolved
 wavefunctions sit the current/osmotic drift decomposition, the terminal
 reconditioning of a wavefunction path on a new terminal density, the
 log-ratio transport residual, the region-conditioning (collapse) operator,
@@ -19,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
     BoundaryMassWarning,
@@ -34,13 +36,18 @@ from .grid import (
     ScalarField,
     _gradient_values,
     require_negligible_mass,
+    require_same_grid,
 )
 
-#: relative probability-density floor below which a point counts as a node
+#: |psi|^2 at or below this fraction of its peak is a node, where the phase
+#: and with it the drifts and the log-ratio are left undefined
 NODE_FLOOR = 1e-12
 
 #: per-step tolerance on relative probability mass at the walls
 WALL_MASS_TOL = 1e-10
+
+#: largest phase of the terminal ratio tilde_psi/psi that hjb_residual accepts
+TERMINAL_PHASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,7 @@ class QuantumModel:
     def __post_init__(self):
         if not (0 < self.hbar < np.inf and 0 < self.m < np.inf):
             raise ValueError(f"need finite hbar > 0 and m > 0, got {self.hbar}, {self.m}")
-        if self.potential.grid != self.grid:
-            raise GridMismatch("potential lives on a different grid")
+        require_same_grid(self.potential, self)
 
     @property
     def sigma2(self) -> float:
@@ -92,6 +98,31 @@ def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cayley(model: QuantumModel, dt: float):
+    """Return step(src), crank_nicolson_step of the state src with (I + theta H) factored once.
+
+    theta = i dt/(2 hbar). The walls are identity rows of the factored system
+    (the LU routines need at least 3 unknowns); they pass the endpoint
+    entries through.
+    """
+    if not (np.isfinite(dt) and dt != 0):
+        raise ValueError(f"need a finite nonzero time step, got {dt}")
+    c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
+    theta = 1j * dt / (2.0 * model.hbar)
+    off = np.pad(np.full(model.grid.n_points - 3, theta * (-c)), 1)  # sub/superdiagonal
+    diag = np.pad(1.0 + theta * (2.0 * c + model.potential.values[1:-1]), 1, constant_values=1.0)
+    *lu, info = zgttrf(off, diag, off)
+    if info != 0:
+        raise ValueError(f"Cayley matrix is singular (LAPACK info {info})")
+
+    def step(src: np.ndarray) -> np.ndarray:
+        rhs = src.copy()
+        rhs[1:-1] -= theta * _dirichlet_apply_h(model, src)
+        return zgttrs(*lu, rhs, overwrite_b=True)[0]
+
+    return step
+
+
 def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> ComplexField:
     """One implicit-midpoint step of duration dt (negative dt runs backward).
 
@@ -100,47 +131,47 @@ def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> Co
     x_min and x_max. The endpoint entries pass through unchanged, so the
     step is exactly unitary in the trapezoid norm of norm_l2, step(-dt)
     inverts step(+dt) exactly on every entry, and box_mode is an exact
-    eigenvector.
+    eigenvector. This is the one-step case of evolve.
     """
-    if psi.grid != model.grid:
-        raise GridMismatch("state and model grids differ")
-    if not (np.isfinite(dt) and dt != 0):
-        raise ValueError(f"need a finite nonzero time step, got {dt}")
-    c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
-    theta = 1j * dt / (2.0 * model.hbar)
+    require_same_grid(psi, model)
+    return ComplexField(model.grid, _cayley(model, dt)(psi.values))
 
-    rhs = psi.values[1:-1] - theta * _dirichlet_apply_h(model, psi.values)
-    ab = np.empty((3, rhs.shape[0]), dtype=complex)
-    ab[0] = ab[2] = theta * (-c)  # super- and subdiagonal of (I + theta H)
-    ab[1] = 1.0 + theta * (2.0 * c + model.potential.values[1:-1])
-    out = psi.values.copy()
-    # psi and the returned ComplexField both reject non-finite values
-    out[1:-1] = solve_banded((1, 1), ab, rhs, check_finite=False)
-    return ComplexField(model.grid, out)
+
+def _norm(grid: Grid1D, values: np.ndarray) -> float:
+    return float(np.sqrt(np.dot(grid.weights, np.abs(values) ** 2)))
 
 
 @dataclass(frozen=True)
 class WavefunctionPath:
-    """Unit-norm states stored on an increasing time grid."""
+    """Unit-norm states of one model on a strictly increasing time grid.
+
+    psi is one (n_times, n_points) complex array, row k the state at
+    times[k]. It is stored without a copy and made read-only, after every
+    row is checked to be finite and of unit trapezoid norm.
+    """
 
     times: np.ndarray
-    states: tuple
+    psi: np.ndarray
     model: QuantumModel
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.shape[0] != len(self.states):
-            raise ValueError("need one state per time")
-        if times.shape[0] > 1 and np.any(np.diff(times) <= 0):
+        psi = np.asarray(self.psi, dtype=complex)
+        grid = self.model.grid
+        shape = (times.shape[0], grid.n_points)
+        if times.ndim != 1 or psi.shape != shape:
+            raise ValueError(f"need psi of shape (n_times, n_points) = {shape}, got {psi.shape}")
+        if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        for k, s in enumerate(self.states):
-            if s.grid != self.model.grid:
-                raise GridMismatch("state grid differs from model grid")
-            nrm = norm_l2(s)
+        for k, row in enumerate(psi):
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"state {k} has a non-finite entry")
+            nrm = _norm(grid, row)
             if abs(nrm - 1.0) > 1e-8:
                 raise ValueError(f"state {k} has norm {nrm!r}, expected 1")
+        psi.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "psi", psi)
 
     @property
     def t0(self) -> float:
@@ -150,16 +181,18 @@ class WavefunctionPath:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def state_at(self, t: float) -> ComplexField:
+    @property
+    def states(self) -> tuple:
+        """The stored states as ComplexFields, built anew on every access."""
+        return tuple(ComplexField(self.model.grid, row) for row in self.psi)
+
+    def density_at(self, t: float) -> DensityField:
+        """|psi|^2 at a stored time t."""
         span = max(self.times[-1] - self.times[0], 1.0)
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-9 * span:
             raise ValueError(f"t={t} not stored on the path")
-        return self.states[i]
-
-    def density_at(self, t: float) -> DensityField:
-        psi = self.state_at(t)
-        return DensityField(self.model.grid, np.abs(psi.values) ** 2, mass_tol=1e-6)
+        return DensityField(self.model.grid, np.abs(self.psi[i]) ** 2)
 
 
 def norm_l2(psi: ComplexField) -> float:
@@ -168,7 +201,7 @@ def norm_l2(psi: ComplexField) -> float:
     This is the norm crank_nicolson_step conserves: its walls sit at x_min
     and x_max, where the trapezoid weight is h/2 and the entries never change.
     """
-    return float(np.sqrt(np.dot(psi.grid.weights, np.abs(psi.values) ** 2)))
+    return _norm(psi.grid, psi.values)
 
 
 def normalize_wavefunction(psi: ComplexField) -> ComplexField:
@@ -189,54 +222,56 @@ def evolve(
 
     Direction follows the sign of t_to - t_from; states are stored in
     increasing-time order either way. A zero-duration request returns the
-    input as a single-state path. A BoundaryMassWarning is raised, once,
-    when the probability mass on the nodes next to the walls exceeds
-    WALL_MASS_TOL: the packet has reached a wall and reflects there.
+    input as a single-state path. One BoundaryMassWarning is raised when the
+    probability mass on the nodes next to the walls exceeds WALL_MASS_TOL
+    after any step: the packet has reached a wall and reflects there.
     """
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
+    require_same_grid(psi, model)
     if t_to == t_from:
-        return WavefunctionPath(np.array([t_from]), (psi,), model)
+        return WavefunctionPath(np.array([t_from]), psi.values[None, :], model)
     dt = (t_to - t_from) / n_steps
-    h = model.grid.h
-    states = [psi]
-    wall_warned = False
-    for _ in range(n_steps):
-        psi = crank_nicolson_step(psi, model, dt)
-        if not wall_warned:
-            # the endpoint entries never change; a packet reaching a wall
-            # shows on the nodes next to it
-            wall = h * (abs(psi.values[1]) ** 2 + abs(psi.values[-2]) ** 2)
-            if wall > WALL_MASS_TOL:
-                warnings.warn(
-                    f"probability mass {wall:.2e} at the walls exceeds "
-                    f"{WALL_MASS_TOL:.0e}; reflections will contaminate the run",
-                    BoundaryMassWarning,
-                    stacklevel=2,
-                )
-                wall_warned = True
-        states.append(psi)
-    times = t_from + dt * np.arange(n_steps + 1)
-    if dt < 0:
-        times = times[::-1]
-        states = states[::-1]
-    return WavefunctionPath(times, tuple(states), model)
+    step = _cayley(model, dt)
+    rows = np.empty((n_steps + 1, model.grid.n_points), dtype=complex)
+    # row order[i] holds the state after i steps, so rows run in increasing time
+    order = np.arange(n_steps + 1) if dt > 0 else np.arange(n_steps, -1, -1)
+    rows[order[0]] = psi.values
+    for k, k_next in zip(order, order[1:]):
+        rows[k_next] = step(rows[k])
+    # the endpoint entries never change; a packet reaching a wall shows on
+    # the nodes next to it
+    wall = model.grid.h * (np.abs(rows[order[1:], 1]) ** 2 + np.abs(rows[order[1:], -2]) ** 2)
+    if wall.max() > WALL_MASS_TOL:
+        warnings.warn(
+            f"probability mass up to {wall.max():.2e} at the walls exceeds "
+            f"{WALL_MASS_TOL:.0e}; reflections will contaminate the run",
+            BoundaryMassWarning,
+            stacklevel=2,
+        )
+    return WavefunctionPath(t_from + dt * order, rows, model)
 
 
 @dataclass(frozen=True)
 class DriftDecomposition:
-    """Current (v) and osmotic (u) drifts with their combinations.
+    """Current (v) and osmotic (u) drifts of one state, and their node mask.
 
-    beta = v + u and gamma = v - u are the forward/backward drifts, and
-    v - i u is the complex drift. mask marks points safely away from nodes;
-    flagged points carry zeros.
+    The forward/backward drifts beta = v + u and gamma = v - u are built on
+    each access, and v - i u is the complex drift. mask marks points safely
+    away from nodes; flagged points carry zeros.
     """
 
     v: ScalarField
     u: ScalarField
-    beta: ScalarField
-    gamma: ScalarField
     mask: np.ndarray
+
+    @property
+    def beta(self) -> ScalarField:
+        return ScalarField(self.v.grid, self.v.values + self.u.values)
+
+    @property
+    def gamma(self) -> ScalarField:
+        return ScalarField(self.v.grid, self.v.values - self.u.values)
 
 
 def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
@@ -247,8 +282,7 @@ def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
     phase. Points with |psi|^2 at or below NODE_FLOOR times the peak are
     masked out and set to zero.
     """
-    if psi.grid != model.grid:
-        raise GridMismatch("state and model grids differ")
+    require_same_grid(psi, model)
     grid = model.grid
     rho = np.abs(psi.values) ** 2
     mask = rho > NODE_FLOOR * rho.max()
@@ -260,16 +294,9 @@ def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
     grad_psi = _gradient_values(psi.values, grid.h)
     v_vals = (model.hbar / model.m) * np.imag(grad_psi / safe_psi)
 
-    u_vals = np.where(mask, u_vals, 0.0)
-    v_vals = np.where(mask, v_vals, 0.0)
-    mk = lambda a: ScalarField(grid, a)
-    return DriftDecomposition(
-        v=mk(v_vals),
-        u=mk(u_vals),
-        beta=mk(v_vals + u_vals),
-        gamma=mk(v_vals - u_vals),
-        mask=mask,
-    )
+    u = ScalarField(grid, np.where(mask, u_vals, 0.0))
+    v = ScalarField(grid, np.where(mask, v_vals, 0.0))
+    return DriftDecomposition(v=v, u=u, mask=mask)
 
 
 def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPath:
@@ -282,26 +309,22 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     the reference state (grid.require_negligible_mass); points where the
     reference density is not representable at all contribute zero.
     """
-    if rho1.grid != path.model.grid:
-        raise GridMismatch("terminal density grid differs from model grid")
+    require_same_grid(rho1, path.model)
     grid = path.model.grid
-    psi1 = path.states[-1]
-    rho = np.abs(psi1.values) ** 2
+    psi1 = path.psi[-1]
+    rho = np.abs(psi1) ** 2
     require_negligible_mass(rho1, rho <= NODE_FLOOR * rho.max(), "terminal density")
     # replace the amplitude pointwise wherever the reference density is
-    # representable, so the identity case stays exact to roundoff
+    # representable, so the identity case stays exact to roundoff; below
+    # 1e-250 the ratio rho1/rho would overflow, and such points carry no mass
     dead = rho < 1e-250
     ratio = np.where(dead, 0.0, rho1.values / np.where(dead, 1.0, rho))
-    tilde1 = ComplexField(grid, np.sqrt(ratio) * psi1.values)
+    tilde1 = ComplexField(grid, np.sqrt(ratio) * psi1)
     n_steps = max(len(path.times) - 1, 1)
     return evolve(tilde1, path.model, path.t1, path.t0, n_steps)
 
 
-def hjb_residual(
-    path: WavefunctionPath,
-    tilde_path: WavefunctionPath,
-    terminal_tol: float = 1e-10,
-) -> float:
+def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     """Space-time L2 residual of the log-ratio transport equation.
 
     With r = tilde_psi / psi, the log-ratio solves the verification equation
@@ -322,7 +345,7 @@ def hjb_residual(
     value. The L2 norm runs over the interior nodes where neither midpoint
     state has a node (density above NODE_FLOOR times its peak), weighted by
     the trapezoid weights and the step lengths. Also asserts the terminal
-    ratio is real positive (phase invariance at t1) within terminal_tol.
+    ratio is real positive (phase invariance at t1) within TERMINAL_PHASE_TOL.
     """
     if not path.model.matches(tilde_path.model):
         raise GridMismatch("paths evolve under different models")
@@ -339,19 +362,19 @@ def hjb_residual(
         return rho > NODE_FLOOR * rho.max()
 
     # terminal condition: ratio real and positive where defined
-    p1, q1 = path.states[-1].values, tilde_path.states[-1].values
+    p1, q1 = path.psi[-1], tilde_path.psi[-1]
     mask_T = off_node(p1) & off_node(q1)
     phase_defect = 0.0
     if mask_T.any():
         phase_defect = float(np.max(np.abs(np.angle(q1[mask_T] / p1[mask_T]))))
-    if phase_defect > terminal_tol:
+    if phase_defect > TERMINAL_PHASE_TOL:
         raise TerminalMismatch(
             f"terminal log-ratio has imaginary part {phase_defect:.3e} "
-            f"(tolerance {terminal_tol:.0e})"
+            f"(tolerance {TERMINAL_PHASE_TOL:.0e})"
         )
 
     def midpoint_defect(p, k, dt):
-        a, b = p.states[k].values, p.states[k + 1].values
+        a, b = p.psi[k], p.psi[k + 1]
         mid = 0.5 * (a + b)
         defect = (b[1:-1] - a[1:-1]) / dt + (1j / model.hbar) * _dirichlet_apply_h(model, mid)
         return mid[1:-1], defect
@@ -409,8 +432,7 @@ def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
         raise ZeroProbabilityRegion(f"regions {merged} carry no probability mass")
 
     chi_psi = np.where(mask, psi.values, 0.0)
-    nrm = np.sqrt(float(np.dot(grid.weights, np.abs(chi_psi) ** 2)))
-    return ComplexField(grid, chi_psi / nrm), float(p1)
+    return ComplexField(grid, chi_psi / _norm(grid, chi_psi)), float(p1)
 
 
 def gradient_norm_sq(psi: ComplexField) -> float:
@@ -425,7 +447,8 @@ def finite_action(path: WavefunctionPath) -> float:
     Always finite on a grid; its stability under refinement is the check
     that the underlying state has finite action.
     """
-    values = np.array([gradient_norm_sq(s) for s in path.states])
+    grid = path.model.grid
+    values = np.abs(np.gradient(path.psi, grid.h, axis=1, edge_order=2)) ** 2 @ grid.weights
     if path.times.shape[0] == 1:
         return float(values[0])
     return float(np.trapezoid(values, path.times))
@@ -439,7 +462,6 @@ def energy(psi: ComplexField, model: QuantumModel) -> float:
     the operator the Cayley step factorizes makes this exactly conserved
     along evolve for a time-independent potential.
     """
-    if psi.grid != model.grid:
-        raise GridMismatch("state and model grids differ")
+    require_same_grid(psi, model)
     h_psi = _dirichlet_apply_h(model, psi.values)
     return float(model.grid.h * np.vdot(psi.values[1:-1], h_psi).real)

@@ -241,6 +241,7 @@ def duality_check(beta, gamma, rho: DensityField, sigma2, t: float = 0.0) -> flo
         - np.asarray(gamma(x, t), dtype=float)
         - sigma2 * score
     )
+    # the bulk leaves out the tails, where drift tables are masked or clamped
     bulk = rho.values > 1e-6 * rho.values.max()
     return float(np.max(np.abs(defect[bulk])))
 

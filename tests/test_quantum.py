@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import hypothesis.strategies as st
@@ -27,6 +28,7 @@ from sbridge.grid import (
     normalize,
 )
 from sbridge.quantum import (
+    WALL_MASS_TOL,
     QuantumModel,
     WavefunctionPath,
     collapse,
@@ -41,6 +43,8 @@ from sbridge.quantum import (
     normalize_wavefunction,
     quantum_bridge,
 )
+
+from oracles import cayley_step
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,15 @@ def test_step_exact_reversibility(model, packet):
     fwd = crank_nicolson_step(packet, model, 1e-2)
     back = crank_nicolson_step(fwd, model, -1e-2)
     assert np.max(np.abs(back.values - packet.values)) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [1e-2, -1e-2])
+def test_step_matches_dense_cayley_oracle(grid, dt):
+    model = QuantumModel(1.3, 0.7, ScalarField(grid, 0.5 * grid.points**2), grid)
+    psi = gaussian_packet(grid, center=-1.0, sigma0=0.6, k0=2.0)
+    out = crank_nicolson_step(psi, model, dt)
+    ref = cayley_step(psi.values, model.hbar, model.m, model.potential.values, grid.h, dt)
+    assert np.max(np.abs(out.values - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
@@ -156,6 +169,69 @@ def test_evolve_warns_when_packet_reaches_wall(model, packet):
     runaway = gaussian_packet(model.grid, center=2.0, sigma0=0.5, k0=8.0)
     with pytest.warns(BoundaryMassWarning):
         evolve(runaway, model, 0.0, 1.0, 200)
+
+
+#: SHA-256 of every stored state of evolve, then of quantum_bridge, on the
+#: trap of test_golden_trap_paths; recorded with the per-step banded solver
+GOLDEN_TRAP = "3441ca234f3ba6f4e7812b42238bf7c83ffaab53e661611e4509039e3bcf9b55"
+
+
+def test_golden_trap_paths():
+    grid = Grid1D(-10.0, 10.0, 201)
+    model = QuantumModel(1.0, 1.0, ScalarField(grid, grid.points**2 / 8.0), grid)
+    psi0 = gaussian_packet(grid, center=-1.0, sigma0=1.0, k0=1.0)
+    path = evolve(psi0, model, 0.0, 1.0, 40)
+    tilde = quantum_bridge(path, gaussian_density(grid, 0.5, 1.0))
+    digest = hashlib.sha256()
+    for p in (path, tilde):
+        digest.update(p.psi.tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAP
+
+
+def test_evolve_warns_once_for_many_wall_steps(model):
+    runaway = gaussian_packet(model.grid, center=2.0, sigma0=0.5, k0=8.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = evolve(runaway, model, 0.0, 1.0, 200)
+    h = model.grid.h
+    wall = h * (np.abs(path.psi[1:, 1]) ** 2 + np.abs(path.psi[1:, -2]) ** 2)
+    assert np.count_nonzero(wall > WALL_MASS_TOL) > 10
+    assert [w.category for w in caught] == [BoundaryMassWarning]
+
+
+def test_path_refuses_wrong_shape(model, packet):
+    times = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        WavefunctionPath(times, np.stack([packet.values] * 3), model)
+    with pytest.raises(ValueError, match="shape"):
+        WavefunctionPath(times, np.stack([packet.values[:-1]] * 2), model)
+    with pytest.raises(ValueError, match="shape"):
+        WavefunctionPath(times, packet.values, model)
+
+
+def test_path_refuses_non_finite_entry_and_names_the_row(model, packet):
+    psi = np.stack([packet.values] * 4)
+    psi[2, 7] = np.nan
+    with pytest.raises(ValueError, match="state 2 has a non-finite entry"):
+        WavefunctionPath(np.arange(4.0), psi, model)
+    psi[2, 7] = packet.values[7]
+    psi[3, 0] = np.inf
+    with pytest.raises(ValueError, match="state 3 has a non-finite entry"):
+        WavefunctionPath(np.arange(4.0), psi, model)
+
+
+def test_path_refuses_non_unit_norm_row_and_names_it(model, packet):
+    psi = np.stack([packet.values] * 4)
+    psi[1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="state 1 has norm"):
+        WavefunctionPath(np.arange(4.0), psi, model)
+
+
+def test_path_stores_psi_read_only(model, packet):
+    path = evolve(packet, model, 0.0, 0.1, 5)
+    assert path.psi.shape == (6, model.grid.n_points)
+    assert not path.psi.flags.writeable
+    assert all(np.array_equal(s.values, row) for s, row in zip(path.states, path.psi))
 
 
 def test_evolve_zero_duration_returns_input(model, packet):
@@ -306,7 +382,8 @@ def test_hjb_residual_large_for_non_solution(grid, model, packet):
     ratio = np.where(live, np.abs(tilde.states[-1].values) / np.where(live, psi1, 1.0), 0.0)
     fake = WavefunctionPath(
         path.times,
-        tuple(normalize_wavefunction(ComplexField(grid, ratio * s.values)) for s in path.states),
+        np.array([normalize_wavefunction(ComplexField(grid, ratio * s.values)).values
+                  for s in path.states]),
         model,
     )
     assert hjb_residual(path, fake) > 0.5
@@ -327,11 +404,7 @@ def test_hjb_terminal_condition_slice(grid, model, packet):
 
 def test_hjb_rejects_phase_shifted_terminal(grid, model, packet):
     path = evolve(packet, model, 0.0, 1.0, 50)
-    shifted = WavefunctionPath(
-        path.times,
-        tuple(ComplexField(grid, np.exp(1j * 0.3) * s.values) for s in path.states),
-        model,
-    )
+    shifted = WavefunctionPath(path.times, np.exp(1j * 0.3) * path.psi, model)
     with pytest.raises(TerminalMismatch):
         hjb_residual(path, shifted)
 
@@ -391,10 +464,6 @@ def test_finite_action_gaussian_packet():
 
 def test_finite_action_phase_invariance(grid, model, packet):
     path = evolve(packet, model, 0.0, 0.5, 50)
-    rotated = WavefunctionPath(
-        path.times,
-        tuple(ComplexField(grid, np.exp(1j * 1.1) * s.values) for s in path.states),
-        model,
-    )
+    rotated = WavefunctionPath(path.times, np.exp(1j * 1.1) * path.psi, model)
     assert abs(finite_action(path) - finite_action(rotated)) < 1e-12
     assert np.isfinite(finite_action(path))
