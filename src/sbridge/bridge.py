@@ -171,9 +171,8 @@ def solve_schrodinger_system(
     else:
         raise NoConvergence(max_iter, residual)
 
-    # gauge: split the t1 factorization symmetrically between the potentials
+    # gauge: split the t1 factorization symmetrically (log_phihat1 is current at the break)
     wsum = w.sum()
-    log_phihat1 = log_heat_propagate(k.grid, log_phihat0, k.variance)
     shift = 0.5 * float(np.dot(w, log_phihat1 - log_phi1) / wsum)
     return BridgeSolution(
         problem=problem,

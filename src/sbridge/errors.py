@@ -61,7 +61,7 @@ class DriftBlowup(ToolkitError):
 
 
 class TimeNotStored(ToolkitError):
-    """Requested time is not on the ensemble's stored time grid."""
+    """Requested time is not on a stored time grid."""
 
 
 class TerminalMismatch(ToolkitError):

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveMass, SupportViolation
+from .errors import GridMismatch, NonPositiveMass, SupportViolation, TimeNotStored
 
 #: largest quadrature mass a unit-mass density may carry where a reference
 #: vanishes and still count as supported by it
@@ -118,6 +118,22 @@ def require_same_grid(*objs):
     return g0
 
 
+def require_time_grid(times, min_len: int) -> np.ndarray:
+    """times as a float array; ValueError unless 1-D, strictly increasing and min_len long."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.shape[0] < min_len or np.any(np.diff(times) <= 0):
+        raise ValueError(f"times must be a 1-D strictly increasing grid of >= {min_len} times")
+    return times
+
+
+def stored_time_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time nearest t; TimeNotStored beyond 1e-9 * max(span, 1) of it."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(times[-1] - times[0], 1.0):
+        raise TimeNotStored(f"t={t} is not on the stored time grid")
+    return i
+
+
 def require_negligible_mass(rho: ScalarField, where: np.ndarray, what: str) -> None:
     """Raise SupportViolation when rho carries more than STRAY_MASS_TOL of mass on where.
 
@@ -164,6 +180,11 @@ def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:
     return np.gradient(values, h, edge_order=2)
 
 
+def _log_gradient_values(values: np.ndarray, h: float) -> np.ndarray:
+    # floored at the smallest normal float, so tails give no -inf
+    return _gradient_values(np.log(np.maximum(values, np.finfo(float).tiny)), h)
+
+
 def gradient(f: ScalarField) -> ScalarField:
     """First derivative: central differences, one-sided second-order endpoints."""
     return ScalarField(f.grid, _gradient_values(f.values, f.grid.h))
@@ -205,8 +226,7 @@ def log_gradient(f: ScalarField) -> ScalarField:
     for Gaussian-shaped fields (quadratic log), which the analytic oracles
     rely on.
     """
-    v = np.maximum(f.values, np.finfo(float).tiny)
-    return ScalarField(f.grid, _gradient_values(np.log(v), f.grid.h))
+    return ScalarField(f.grid, _log_gradient_values(f.values, f.grid.h))
 
 
 def l1_distance(f, g) -> float:

@@ -35,8 +35,11 @@ from .grid import (
     Grid1D,
     ScalarField,
     _gradient_values,
+    _log_gradient_values,
     require_negligible_mass,
     require_same_grid,
+    require_time_grid,
+    stored_time_index,
 )
 
 #: |psi|^2 at or below this fraction of its peak is a node, where the phase
@@ -82,6 +85,17 @@ class QuantumModel:
         )
 
 
+def _off_node(rho: np.ndarray) -> np.ndarray:
+    """Points where the density rho = |psi|^2 lies above NODE_FLOOR times its peak."""
+    return rho > NODE_FLOOR * rho.max()
+
+
+def _dirichlet_bands(model: QuantumModel):
+    """(diagonal 2c + V, off-diagonal -c) of H on the interior nodes, c = hbar^2/(2 m h^2)."""
+    c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
+    return 2.0 * c + model.potential.values[1:-1], -c
+
+
 def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
     """Hamiltonian action -(hbar^2/2m) L + V on the interior nodes 1..n-2.
 
@@ -90,11 +104,11 @@ def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
     entries. This is the operator the Cayley step factorizes, so the
     quadratic form <psi, H psi> is conserved exactly along the evolution.
     """
-    c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
+    diag, off = _dirichlet_bands(model)
     inner = values[1:-1]
-    out = (2.0 * c + model.potential.values[1:-1]) * inner
-    out[:-1] -= c * inner[1:]
-    out[1:] -= c * inner[:-1]
+    out = diag * inner
+    out[:-1] += off * inner[1:]
+    out[1:] += off * inner[:-1]
     return out
 
 
@@ -107,10 +121,10 @@ def _cayley(model: QuantumModel, dt: float):
     """
     if not (np.isfinite(dt) and dt != 0):
         raise ValueError(f"need a finite nonzero time step, got {dt}")
-    c = model.hbar**2 / (2.0 * model.m * model.grid.h**2)
+    h_diag, h_off = _dirichlet_bands(model)
     theta = 1j * dt / (2.0 * model.hbar)
-    off = np.pad(np.full(model.grid.n_points - 3, theta * (-c)), 1)  # sub/superdiagonal
-    diag = np.pad(1.0 + theta * (2.0 * c + model.potential.values[1:-1]), 1, constant_values=1.0)
+    off = np.pad(np.full(model.grid.n_points - 3, theta * h_off), 1)  # sub/superdiagonal
+    diag = np.pad(1.0 + theta * h_diag, 1, constant_values=1.0)
     *lu, info = zgttrf(off, diag, off)
     if info != 0:
         raise ValueError(f"Cayley matrix is singular (LAPACK info {info})")
@@ -155,14 +169,12 @@ class WavefunctionPath:
     model: QuantumModel
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = require_time_grid(self.times, 1)
         psi = np.asarray(self.psi, dtype=complex)
         grid = self.model.grid
         shape = (times.shape[0], grid.n_points)
-        if times.ndim != 1 or psi.shape != shape:
+        if psi.shape != shape:
             raise ValueError(f"need psi of shape (n_times, n_points) = {shape}, got {psi.shape}")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
         for k, row in enumerate(psi):
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"state {k} has a non-finite entry")
@@ -187,12 +199,9 @@ class WavefunctionPath:
         return tuple(ComplexField(self.model.grid, row) for row in self.psi)
 
     def density_at(self, t: float) -> DensityField:
-        """|psi|^2 at a stored time t."""
-        span = max(self.times[-1] - self.times[0], 1.0)
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * span:
-            raise ValueError(f"t={t} not stored on the path")
-        return DensityField(self.model.grid, np.abs(self.psi[i]) ** 2)
+        """|psi|^2 at a stored time t; TimeNotStored for any other t."""
+        k = stored_time_index(self.times, t)
+        return DensityField(self.model.grid, np.abs(self.psi[k]) ** 2)
 
 
 def norm_l2(psi: ComplexField) -> float:
@@ -285,10 +294,8 @@ def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
     require_same_grid(psi, model)
     grid = model.grid
     rho = np.abs(psi.values) ** 2
-    mask = rho > NODE_FLOOR * rho.max()
-
-    log_rho = np.log(np.maximum(rho, np.finfo(float).tiny))
-    u_vals = (model.hbar / (2.0 * model.m)) * _gradient_values(log_rho, grid.h)
+    mask = _off_node(rho)
+    u_vals = (model.hbar / (2.0 * model.m)) * _log_gradient_values(rho, grid.h)
 
     safe_psi = np.where(mask, psi.values, 1.0)
     grad_psi = _gradient_values(psi.values, grid.h)
@@ -313,7 +320,7 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     grid = path.model.grid
     psi1 = path.psi[-1]
     rho = np.abs(psi1) ** 2
-    require_negligible_mass(rho1, rho <= NODE_FLOOR * rho.max(), "terminal density")
+    require_negligible_mass(rho1, ~_off_node(rho), "terminal density")
     # replace the amplitude pointwise wherever the reference density is
     # representable, so the identity case stays exact to roundoff; below
     # 1e-250 the ratio rho1/rho would overflow, and such points carry no mass
@@ -354,16 +361,11 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     ):
         raise ValueError("paths must share the same time grid")
     model = path.model
-    if path.times.shape[0] < 2:
-        raise ValueError("need at least 2 stored times for the midpoint stencil")
-
-    def off_node(values):
-        rho = np.abs(values) ** 2
-        return rho > NODE_FLOOR * rho.max()
+    require_time_grid(path.times, 2)  # the midpoint stencil needs one step
 
     # terminal condition: ratio real and positive where defined
     p1, q1 = path.psi[-1], tilde_path.psi[-1]
-    mask_T = off_node(p1) & off_node(q1)
+    mask_T = _off_node(np.abs(p1) ** 2) & _off_node(np.abs(q1) ** 2)
     phase_defect = 0.0
     if mask_T.any():
         phase_defect = float(np.max(np.abs(np.angle(q1[mask_T] / p1[mask_T]))))
@@ -384,7 +386,7 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
         dt = path.times[k + 1] - path.times[k]
         mid_p, s_p = midpoint_defect(path, k, dt)
         mid_q, s_q = midpoint_defect(tilde_path, k, dt)
-        mask = off_node(mid_p) & off_node(mid_q)
+        mask = _off_node(np.abs(mid_p) ** 2) & _off_node(np.abs(mid_q) ** 2)
         res = s_q[mask] / mid_q[mask] - s_p[mask] / mid_p[mask]
         total += dt * float(np.sum(np.abs(res) ** 2))
     return float(np.sqrt(model.grid.h * total))

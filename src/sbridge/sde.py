@@ -27,6 +27,8 @@ from .grid import (
     log_gradient,
     normalize,
     require_same_grid,
+    require_time_grid,
+    stored_time_index,
 )
 
 #: paths per RNG substream block; fixed so results never depend on scheduling
@@ -52,9 +54,7 @@ class PathEnsemble:
     direction: str
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.shape[0] < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be a strictly increasing grid")
+        times = require_time_grid(self.times, 2)
         if self.positions.ndim != 2 or self.positions.shape[1] != times.shape[0]:
             raise ValueError("positions must be (n_paths, n_times)")
         if self.positions.shape[0] < 1:
@@ -70,13 +70,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.positions.shape[0]
 
-    def time_index(self, t: float) -> int:
-        span = self.times[-1] - self.times[0]
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * span:
-            raise TimeNotStored(f"t={t} not on the stored time grid")
-        return i
-
 
 class GridDrift:
     """Drift field sampled on a grid at strictly increasing stored times.
@@ -88,9 +81,9 @@ class GridDrift:
     """
 
     def __init__(self, times, fields):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.shape[0] != len(fields) or np.any(np.diff(times) <= 0):
-            raise ValueError("need one field per stored time, at strictly increasing times")
+        times = require_time_grid(times, 1)
+        if times.shape[0] != len(fields):
+            raise ValueError(f"need one field per stored time, got {len(fields)} fields")
         self.grid = require_same_grid(*fields)
         self.times = times
         self.table = np.stack([f.values for f in fields])
@@ -133,30 +126,16 @@ def _initial_positions(rho, u: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf, grid.points)
 
 
-def _check_clamping(drift, n_eval_before, n_clamped_before):
-    if not isinstance(drift, GridDrift):
-        return
-    evals = drift.n_eval - n_eval_before
-    clamped = drift.n_clamped - n_clamped_before
-    if evals and clamped / evals > CLAMP_BUDGET:
-        raise ExcessiveClamping(
-            f"{clamped}/{evals} drift evaluations left the grid "
-            f"(budget {CLAMP_BUDGET:.1e})"
-        )
-
-
 def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.shape[0] < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing grid")
+    times = require_time_grid(times, 2)
     if n_paths < 1:
         raise EmptyEnsemble("need n_paths >= 1")
     sigma = np.sqrt(sigma2)
     n_times = times.shape[0]
-    g = getattr(drift, "grid", None)
-    width = (g.x_max - g.x_min) if g is not None else None
-    ev0 = getattr(drift, "n_eval", 0)
-    cl0 = getattr(drift, "n_clamped", 0)
+    # a drift table bounds each increment by its width, and its clamps by CLAMP_BUDGET
+    table = isinstance(drift, GridDrift)
+    width = drift.grid.x_max - drift.grid.x_min if table else None
+    ev0, cl0 = (drift.n_eval, drift.n_clamped) if table else (0, 0)
 
     # time-major: each step writes one contiguous row
     positions = np.empty((n_times, n_paths))
@@ -174,10 +153,18 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
             inc = rng.standard_normal(x.shape[0])
             inc *= sigma * np.sqrt(dts[k])
             inc += np.asarray(drift(x, times[src]), dtype=float) * (sign * dts[k])
-            _check_increment(inc, width)
+            peak = float(np.max(np.abs(inc)))  # NaN or inf if any entry is
+            if not np.isfinite(peak):
+                raise DriftBlowup("non-finite Euler-Maruyama increment")
+            if table and peak > width:
+                raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
             x = np.add(x, inc, out=positions[dst, start:stop])
 
-    _check_clamping(drift, ev0, cl0)
+    if table:
+        evals, clamped = drift.n_eval - ev0, drift.n_clamped - cl0
+        if evals and clamped / evals > CLAMP_BUDGET:
+            raise ExcessiveClamping(f"{clamped}/{evals} drift evaluations left the grid "
+                                    f"(budget {CLAMP_BUDGET:.1e})")
     return PathEnsemble(
         times=times,
         positions=positions.T,
@@ -185,14 +172,6 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
         seed=seed,
         direction="backward" if backward else "forward",
     )
-
-
-def _check_increment(inc: np.ndarray, width):
-    peak = float(np.max(np.abs(inc)))  # NaN or inf if any entry is
-    if not np.isfinite(peak):
-        raise DriftBlowup("non-finite Euler-Maruyama increment")
-    if width is not None and peak > width:
-        raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
 
 
 def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> PathEnsemble:
@@ -216,7 +195,7 @@ def sample_backward(gamma, rho1: DensityField, sigma2, times, n_paths, seed) -> 
 
 def empirical_density(ens: PathEnsemble, t: float, grid: Grid1D) -> DensityField:
     """Histogram over point-centered grid cells, normalized to unit trapezoid mass."""
-    k = ens.time_index(t)
+    k = stored_time_index(ens.times, t)
     x = np.clip(ens.positions[:, k], grid.x_min, grid.x_max)
     edges = np.concatenate([
         [grid.x_min - grid.h / 2],

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from sbridge.bridge import (
     BridgeProblem,
@@ -308,3 +310,35 @@ def test_times_outside_the_problem_interval_are_rejected(setup):
         bridge_drift_fields(sol, [0.5, 1.5])
     with pytest.raises(TimeMismatch):
         bridge_drift(sol, -0.5)
+
+
+#: weight, mean and variance of the first component, mean and variance of the second
+MIXTURES = st.tuples(st.floats(0.2, 0.8), st.floats(-1.5, 1.5), st.floats(0.05, 0.5),
+                     st.floats(-1.5, 1.5), st.floats(0.05, 0.5))
+
+
+def two_gaussians(grid, w, m1, v1, m2, v2):
+    return mixture_density(grid, [(w, {"kind": "gaussian", "mean": m1, "var": v1}),
+                                  (1.0 - w, {"kind": "gaussian", "mean": m2, "var": v2})])
+
+
+# wide-sigma2 kernels are truncated by the domain and warn so; the two
+# invariants below are exact for the truncated discrete problem all the same
+@pytest.mark.filterwarnings("ignore::sbridge.errors.TruncationWarning")
+@pytest.mark.filterwarnings("ignore::sbridge.errors.MassDefectWarning")
+@settings(max_examples=20)
+@example(sigma2=0.01, a=(0.3, -1.5, 0.05, 1.0, 0.2), b=(0.7, -0.5, 0.1, 1.5, 0.05))
+@given(sigma2=st.floats(-2.0, np.log10(4.0)).map(lambda e: 10.0**e), a=MIXTURES, b=MIXTURES)
+def test_bridge_marginals_and_reversal_over_gaussian_mixtures(sigma2, a, b):
+    # sigma2 = 0.01 is where linear-domain scaling underflows
+    grid = Grid1D(-4.0, 4.0, 201)
+    kernel = heat_kernel(grid, 0.0, 1.0, sigma2)
+    problem = BridgeProblem(two_gaussians(grid, *a), two_gaussians(grid, *b), kernel, sigma2)
+    sol = solve_schrodinger_system(problem)
+    assert max(sol.marginal_residuals()) < 1e-8
+    fresh = solve_schrodinger_system(BridgeProblem(problem.rho1, problem.rho0, kernel, sigma2))
+    reversed_sol = time_reverse(sol)
+    for t in (0.25, 0.5, 0.75):
+        d_rev = bridge_density(reversed_sol, t)
+        d_fresh = bridge_density(fresh, t)
+        assert np.max(np.abs(d_rev.values - d_fresh.values)) < 1e-8

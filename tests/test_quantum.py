@@ -207,6 +207,10 @@ def test_path_refuses_wrong_shape(model, packet):
         WavefunctionPath(times, np.stack([packet.values[:-1]] * 2), model)
     with pytest.raises(ValueError, match="shape"):
         WavefunctionPath(times, packet.values, model)
+    # 2-D, decreasing and repeated time grids
+    for bad in ([[0.0, 0.5, 1.0]], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WavefunctionPath(np.array(bad), np.stack([packet.values] * 3), model)
 
 
 def test_path_refuses_non_finite_entry_and_names_the_row(model, packet):

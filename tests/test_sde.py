@@ -10,8 +10,9 @@ from sbridge.errors import (
     ExcessiveClamping,
     TimeNotStored,
 )
-from sbridge.families import gaussian_density
+from sbridge.families import gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField, integrate, l1_distance
+from sbridge.quantum import QuantumModel, evolve
 from sbridge.sde import (
     GridDrift,
     PathEnsemble,
@@ -25,6 +26,9 @@ from sbridge.sde import (
 )
 
 ZERO = lambda x, t: np.zeros_like(x)
+
+#: time grids every constructor and sampler refuses: 2-D, decreasing, repeated
+BAD_TIMES = (np.array([[0.0, 0.5, 1.0]]), np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +147,17 @@ def test_empirical_density_matches_gaussian(grid):
 def test_time_not_stored(grid):
     times = np.linspace(0.0, 1.0, 11)
     ens = sample_forward(ZERO, point_start(grid), 1.0, times, 10, seed=1)
-    with pytest.raises(TimeNotStored):
-        empirical_density(ens, 0.123, grid)
+    path = evolve(gaussian_packet(grid), QuantumModel.free(grid), 0.0, 1.0, 10)
+    # ensembles and wavefunction paths share one stored-time rule
+    for t in (0.123, 1.0 + 2e-9):
+        with pytest.raises(TimeNotStored):
+            empirical_density(ens, t, grid)
+        with pytest.raises(TimeNotStored):
+            path.density_at(t)
+    # within 1e-9 of the unit span, a time is the stored one
+    assert np.array_equal(empirical_density(ens, 0.3 + 5e-10, grid).values,
+                          empirical_density(ens, 0.3, grid).values)
+    assert np.array_equal(path.density_at(0.3 + 5e-10).values, path.density_at(0.3).values)
 
 
 def test_duality_ou_stationary(grid):
@@ -216,11 +229,10 @@ def test_grid_drift_clamp_count_and_nan(grid):
 
 
 def test_grid_drift_rejects_unordered_times(grid):
-    fields = [ScalarField(grid, grid.points), ScalarField(grid, 2.0 * grid.points)]
-    with pytest.raises(ValueError):
-        GridDrift([1.0, 0.0], fields)
-    with pytest.raises(ValueError):
-        GridDrift([0.0, 0.0, 1.0], fields + fields[:1])
+    fields = [ScalarField(grid, k * grid.points) for k in (1.0, 2.0, 3.0)]
+    for times in BAD_TIMES:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridDrift(times, fields)
 
 
 def test_path_integral_left_and_right_sums():
@@ -264,8 +276,11 @@ def test_non_finite_drift_is_a_blowup(grid):
 def test_ensemble_validation(grid):
     with pytest.raises(EmptyEnsemble):
         sample_forward(ZERO, point_start(grid), 1.0, np.linspace(0, 1, 5), 0, seed=1)
-    with pytest.raises(ValueError):
-        PathEnsemble(np.array([0.0, 0.0, 1.0]), np.zeros((2, 3)), 1.0, 0, "forward")
+    for times in BAD_TIMES:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PathEnsemble(times, np.zeros((2, 3)), 1.0, 0, "forward")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sample_forward(ZERO, point_start(grid), 1.0, times, 10, seed=1)
 
 
 def test_empirical_energy_constant_drift(grid):
