@@ -6,15 +6,15 @@ boundary conditions by alternating rescaling against the marginals
 domain for stability. Exposes the bridge's time-t density, its forward
 drift, the one-marginal half bridge, and exact time reversal.
 
-Every propagation of a potential or density, in the solver, the marginal
-residuals, the time-t potentials, the drift sweeps and the prior flow, is
-one call of kernels.log_heat_propagate with variance sigma2 times the time
-span: a direct Toeplitz convolution over the 2n - 1 kernel samples, with
-exact log-sum-exp rows where it underflows. No kernel matrix is built,
-and no FFT is used, because FFT error is absolute and the 1e-30 density
-floor depends on the tails keeping their relative accuracy. Each
-time is propagated directly from the stored endpoint potential, never by
-compounding a one-step kernel, which would compound its aliasing error
+The Wiener span rule lives in _wiener_span: every propagation of a potential
+or density over a time span (solver, marginal residuals, time-t potentials,
+drift sweeps, prior flow) is the identity at span 0, else one call of
+kernels.log_heat_propagate with variance sigma2 * span, a direct Toeplitz
+convolution with exact log-sum-exp rows where it underflows. No kernel
+matrix is built, and no FFT is used, because FFT error is absolute and the
+1e-30 density floor depends on the tails keeping their relative accuracy.
+Each time is propagated directly from the stored endpoint potential, never
+by compounding a one-step kernel, which would compound its aliasing error
 when the step is under-resolved (sqrt(sigma2 dt) < h).
 """
 
@@ -40,11 +40,21 @@ from .grid import (
     ScalarField,
     _gradient_values,
     integrate,
+    l1_distance,
     log_gradient,
     normalize,
+    require_finite_positive,
     require_same_grid,
+    require_time_grid,
 )
 from .kernels import TransitionKernel, log_heat_propagate
+
+
+def _wiener_span(grid, log_f: np.ndarray, sigma2: float, span: float) -> np.ndarray:
+    """log_f propagated over a time span: variance sigma2 * span, log_f itself at span 0."""
+    if span == 0:
+        return log_f
+    return log_heat_propagate(grid, log_f, sigma2 * span)
 
 
 def floor_density(rho: DensityField) -> DensityField:
@@ -73,8 +83,7 @@ class BridgeProblem:
 
     def __post_init__(self):
         require_same_grid(self.rho0, self.rho1, self.kernel)
-        if not self.sigma2 > 0:
-            raise ValueError(f"need sigma2 > 0, got {self.sigma2}")
+        require_finite_positive(self.sigma2, "sigma2")
         expected = self.sigma2 * (self.t1 - self.t0)
         v = self.kernel.variance
         if abs(v - expected) > 1e-12 * expected:
@@ -118,15 +127,9 @@ class BridgeSolution:
 
     def marginal_residuals(self) -> tuple[float, float]:
         """L1 defects of phi*phihat against rho0 and rho1 at the endpoints."""
-        k = self.problem.kernel
-        w = k.grid.weights
-        log_phi0 = log_heat_propagate(k.grid, self.log_phi1, k.variance)
-        log_phihat1 = log_heat_propagate(k.grid, self.log_phihat0, k.variance)
-        r0 = np.exp(log_phi0 + self.log_phihat0)
-        r1 = np.exp(self.log_phi1 + log_phihat1)
-        res0 = float(np.dot(w, np.abs(r0 - self.problem.rho0.values)))
-        res1 = float(np.dot(w, np.abs(r1 - self.problem.rho1.values)))
-        return res0, res1
+        p = self.problem
+        r0, r1 = _density_at(self, p.t0), _density_at(self, p.t1)
+        return l1_distance(r0, p.rho0), l1_distance(r1, p.rho1)
 
 
 def solve_schrodinger_system(
@@ -143,8 +146,7 @@ def solve_schrodinger_system(
     Raises NoConvergence with the last residual when max_iter is exhausted
     and NonOverlappingSupport if the potentials degenerate.
     """
-    k = problem.kernel
-    w = k.grid.weights
+    grid, sigma2, span = problem.kernel.grid, problem.sigma2, problem.t1 - problem.t0
     log_rho0 = np.log(problem.rho0.values)
     log_rho1 = np.log(problem.rho1.values)
 
@@ -154,14 +156,13 @@ def solve_schrodinger_system(
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
-        log_phihat1 = log_heat_propagate(k.grid, log_phihat0, k.variance)
-        residual = float(np.dot(w, np.abs(np.exp(log_phi1 + log_phihat1)
-                                          - problem.rho1.values)))
+        log_phihat1 = _wiener_span(grid, log_phihat0, sigma2, span)
+        residual = l1_distance(ScalarField(grid, np.exp(log_phi1 + log_phihat1)), problem.rho1)
         history.append(residual)
         if residual < tol:
             break
         log_phi1 = log_rho1 - log_phihat1
-        log_phi0 = log_heat_propagate(k.grid, log_phi1, k.variance)
+        log_phi0 = _wiener_span(grid, log_phi1, sigma2, span)
         log_phihat0 = log_rho0 - log_phi0
         if not (np.all(np.isfinite(log_phi1)) and np.all(np.isfinite(log_phihat0))):
             raise NonOverlappingSupport(
@@ -172,8 +173,8 @@ def solve_schrodinger_system(
         raise NoConvergence(max_iter, residual)
 
     # gauge: split the t1 factorization symmetrically (log_phihat1 is current at the break)
-    wsum = w.sum()
-    shift = 0.5 * float(np.dot(w, log_phihat1 - log_phi1) / wsum)
+    w = grid.weights
+    shift = 0.5 * float(np.dot(w, log_phihat1 - log_phi1) / w.sum())
     return BridgeSolution(
         problem=problem,
         log_phi1=log_phi1 + shift,
@@ -184,34 +185,24 @@ def solve_schrodinger_system(
     )
 
 
-def _check_partition(sol: BridgeSolution, t):
-    """Reject t outside [t0, t1]; returns (at_t0, at_t1)."""
+def _check_partition(sol: BridgeSolution, t) -> float:
+    """t, snapped to t0 or t1 within 1e-12 * max(span, 1); TimeMismatch outside [t0, t1]."""
     p = sol.problem
-    span = max(1.0, abs(p.t1 - p.t0))
-    if t < p.t0 - 1e-12 * span or t > p.t1 + 1e-12 * span:
+    tol = 1e-12 * max(1.0, abs(p.t1 - p.t0))
+    if not p.t0 - tol <= t <= p.t1 + tol:
         raise TimeMismatch(f"time {t} lies outside [{p.t0}, {p.t1}]")
-    return abs(t - p.t0) <= 1e-12 * span, abs(t - p.t1) <= 1e-12 * span
+    if abs(t - p.t0) <= tol:
+        return p.t0
+    return p.t1 if abs(t - p.t1) <= tol else t
 
 
-def _log_phi_at(sol: BridgeSolution, t, at_t1) -> np.ndarray:
-    """log phi(., t): the stored log phi1 propagated back over [t, t1]."""
+def _density_at(sol: BridgeSolution, t) -> DensityField:
+    """phi(., t) * phihat(., t) from the stored endpoint potentials; mass unchecked."""
     p = sol.problem
-    if at_t1:
-        return sol.log_phi1
-    return log_heat_propagate(p.kernel.grid, sol.log_phi1, p.sigma2 * (p.t1 - t))
-
-
-def _log_potentials_at(sol: BridgeSolution, t):
-    """(log phi(., t), log phihat(., t)) by propagating the stored endpoints."""
-    p = sol.problem
-    at_t0, at_t1 = _check_partition(sol, t)
-    if at_t0:
-        log_phihat = sol.log_phihat0
-    else:
-        log_phihat = log_heat_propagate(
-            p.kernel.grid, sol.log_phihat0, p.sigma2 * (t - p.t0)
-        )
-    return _log_phi_at(sol, t, at_t1), log_phihat
+    t = _check_partition(sol, t)
+    log_phi = _wiener_span(p.kernel.grid, sol.log_phi1, p.sigma2, p.t1 - t)
+    log_phihat = _wiener_span(p.kernel.grid, sol.log_phihat0, p.sigma2, t - p.t0)
+    return DensityField(p.kernel.grid, np.exp(log_phi + log_phihat), mass_tol=None)
 
 
 def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
@@ -220,9 +211,7 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
     t must lie in [t0, t1]; the potentials are propagated from the stored
     endpoints with variances sigma2 * (t1 - t) and sigma2 * (t - t0).
     """
-    log_phi, log_phihat = _log_potentials_at(sol, t)
-    values = np.exp(log_phi + log_phihat)
-    out = DensityField(sol.problem.kernel.grid, values, mass_tol=None)
+    out = _density_at(sol, t)
     mass = integrate(out)
     if abs(mass - 1.0) > 1e-6:
         warnings.warn(
@@ -239,12 +228,11 @@ def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
 
     t must lie in [t0, t1]; log phi1 is propagated directly over [t, t1].
     """
-    _, at_t1 = _check_partition(sol, t)
     p = sol.problem
-    log_phi = _log_phi_at(sol, t, at_t1)
+    grid = p.kernel.grid
+    log_phi = _wiener_span(grid, sol.log_phi1, p.sigma2, p.t1 - _check_partition(sol, t))
     if not np.all(np.isfinite(log_phi)):
         raise DegeneratePotential(f"phi(., {t}) underflowed")
-    grid = p.kernel.grid
     return ScalarField(grid, p.sigma2 * _gradient_values(log_phi, grid.h))
 
 
@@ -328,19 +316,13 @@ def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[Densi
     """Marginals of the Wiener prior started from rho0 along a time grid.
 
     Each marginal is propagated directly from rho0 over [t_0, t_k]; the first
-    is rho0 itself.
+    is rho0 itself. times must be strictly increasing.
     """
-    times = np.asarray(times, dtype=float)
+    times = require_time_grid(times, 1)
     with np.errstate(divide="ignore"):
         log_rho0 = np.log(rho0.values)
-    return [rho0] + [
-        DensityField(
-            rho0.grid,
-            np.exp(log_heat_propagate(rho0.grid, log_rho0, sigma2 * (t - times[0]))),
-            mass_tol=None,
-        )
-        for t in times[1:]
-    ]
+    logs = (_wiener_span(rho0.grid, log_rho0, sigma2, t - times[0]) for t in times[1:])
+    return [rho0] + [DensityField(rho0.grid, np.exp(f), mass_tol=None) for f in logs]
 
 
 def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> list[ScalarField]:

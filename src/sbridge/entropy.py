@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import DENSITY_FLOOR, DensityField, require_negligible_mass, require_same_grid
+from .grid import require_finite_positive
 from .sde import path_integral
 
 
@@ -57,19 +58,24 @@ class EntropyReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _kinetic(ens, drift_q, drift_p, sigma2, endpoint: str):
-    """Per-path quadratic drift-mismatch integrals |dq - dp|^2 / (2 sigma2) dt.
+def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyReport:
+    """KL(q, p) plus the per-path drift mismatch |dq - dp|^2 / (2 sigma2) dt, averaged.
 
     Forward integrals use left endpoints (matching the forward Euler-Maruyama
     discretization), backward ones use right endpoints.
     """
+    require_finite_positive(sigma2, "sigma2")
+    static = kl_divergence(q, p)
+
     def mismatch2(x, t):
         return (np.asarray(drift_q(x, t), dtype=float)
                 - np.asarray(drift_p(x, t), dtype=float)) ** 2
 
+    endpoint = {"forward": "left", "backward": "right"}[direction]
     acc = path_integral(ens, mismatch2, endpoint) / (2.0 * sigma2)
     se = float(acc.std(ddof=1) / np.sqrt(acc.shape[0])) if acc.shape[0] > 1 else float("nan")
-    return float(acc.mean()), se
+    kinetic = float(acc.mean())
+    return EntropyReport(static, kinetic, static + kinetic, direction, se)
 
 
 def path_entropy_forward(
@@ -85,9 +91,7 @@ def path_entropy_forward(
     The ensemble must be distributed under the law whose drift is beta_q;
     drifts are callables (x_array, t) -> array.
     """
-    static = kl_divergence(q0, p0)
-    kinetic, se = _kinetic(ens, beta_q, beta_p, sigma2, "left")
-    return EntropyReport(static, kinetic, static + kinetic, "forward", se)
+    return _girsanov(q0, p0, beta_q, beta_p, ens, sigma2, "forward")
 
 
 def path_entropy_backward(
@@ -99,6 +103,4 @@ def path_entropy_backward(
     sigma2: float,
 ) -> EntropyReport:
     """Backward Girsanov decomposition: terminal marginals plus backward drifts."""
-    static = kl_divergence(q1, p1)
-    kinetic, se = _kinetic(ens, gamma_q, gamma_p, sigma2, "right")
-    return EntropyReport(static, kinetic, static + kinetic, "backward", se)
+    return _girsanov(q1, p1, gamma_q, gamma_p, ens, sigma2, "backward")

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, DensityField, Grid1D, ScalarField, normalize
+from .grid import require_finite_positive
 from .quantum import normalize_wavefunction
 
 
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> DensityField:
-    if not var > 0:
-        raise ValueError(f"need var > 0, got {var}")
+    require_finite_positive(var, "var")
     x = grid.points
     return normalize(ScalarField(grid, np.exp(-((x - mean) ** 2) / (2.0 * var))))
 
@@ -58,8 +58,7 @@ def gaussian_packet(
     |psi|^2 is a Gaussian density with standard deviation sigma0; k0 is the
     carrier wavenumber (group velocity hbar k0 / m).
     """
-    if not sigma0 > 0:
-        raise ValueError(f"need sigma0 > 0, got {sigma0}")
+    require_finite_positive(sigma0, "sigma0")
     x = grid.points
     psi = np.exp(-((x - center) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
     return normalize_wavefunction(ComplexField(grid, psi))

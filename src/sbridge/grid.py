@@ -34,10 +34,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError(f"need finite walls, got [{self.x_min}, {self.x_max}]")
-        if not self.x_max > self.x_min:
-            raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
+        require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
 
     @property
     def h(self) -> float:
@@ -118,6 +115,12 @@ def require_same_grid(*objs):
     return g0
 
 
+def require_finite_positive(value, what: str) -> None:
+    """Raise ValueError unless value is finite and > 0; what names it in the message."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"need finite {what} > 0, got {value}")
+
+
 def require_time_grid(times, min_len: int) -> np.ndarray:
     """times as a float array; ValueError unless 1-D, strictly increasing and min_len long."""
     times = np.asarray(times, dtype=float)
@@ -176,8 +179,8 @@ def interp_uniform(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
 
 
 def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:
-    # np.gradient: central differences inside, second-order one-sided at the ends
-    return np.gradient(values, h, edge_order=2)
+    # np.gradient on the last axis: central differences inside, one-sided at the ends
+    return np.gradient(values, h, axis=-1, edge_order=2)
 
 
 def _log_gradient_values(values: np.ndarray, h: float) -> np.ndarray:

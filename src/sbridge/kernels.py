@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInterval, TruncationWarning
-from .grid import Grid1D
+from .grid import Grid1D, require_finite_positive
 
 #: row-sum defect beyond which a kernel is considered truncated by the domain
 TRUNCATION_BUDGET = 1e-4
@@ -52,10 +52,9 @@ class TransitionKernel:
     variance: float
 
     def __post_init__(self):
-        if not self.t > self.s:
-            raise InvalidInterval(f"need t > s, got [{self.s}, {self.t}]")
-        if not self.variance > 0:
-            raise ValueError(f"need variance > 0, got {self.variance}")
+        if not -np.inf < self.s < self.t < np.inf:
+            raise InvalidInterval(f"need finite t > s, got [{self.s}, {self.t}]")
+        require_finite_positive(self.variance, "variance")
 
 
 def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKernel:
@@ -65,8 +64,7 @@ def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKe
     still lose more than TRUNCATION_BUDGET of their mass to the domain cut, or
     gain more than it because the grid spacing under-resolves the kernel.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"need sigma2 > 0, got {sigma2}")
+    require_finite_positive(sigma2, "sigma2")
     kernel = TransitionKernel(grid, s, t, sigma2 * (t - s))
     _check_truncation(kernel)
     return kernel
@@ -86,8 +84,7 @@ def log_heat_propagate(grid: Grid1D, log_f, variance: float) -> np.ndarray:
     recomputed by a max-shifted log-sum-exp against the analytic log profile.
     All -inf input gives all -inf output.
     """
-    if not variance > 0:
-        raise ValueError(f"need variance > 0, got {variance}")
+    require_finite_positive(variance, "variance")
     n = grid.n_points
     a = np.asarray(log_f, dtype=float) + np.log(grid.weights)
     if a.shape != (n,):

@@ -26,6 +26,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from .errors import (
     BoundaryMassWarning,
     GridMismatch,
+    NonPositiveMass,
     TerminalMismatch,
     ZeroProbabilityRegion,
 )
@@ -36,6 +37,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     _log_gradient_values,
+    require_finite_positive,
     require_negligible_mass,
     require_same_grid,
     require_time_grid,
@@ -45,6 +47,9 @@ from .grid import (
 #: |psi|^2 at or below this fraction of its peak is a node, where the phase
 #: and with it the drifts and the log-ratio are left undefined
 NODE_FLOOR = 1e-12
+
+#: largest deviation from 1 of the trapezoid norm of a stored state
+NORM_TOL = 1e-8
 
 #: per-step tolerance on relative probability mass at the walls
 WALL_MASS_TOL = 1e-10
@@ -63,8 +68,8 @@ class QuantumModel:
     grid: Grid1D
 
     def __post_init__(self):
-        if not (0 < self.hbar < np.inf and 0 < self.m < np.inf):
-            raise ValueError(f"need finite hbar > 0 and m > 0, got {self.hbar}, {self.m}")
+        require_finite_positive(self.hbar, "hbar")
+        require_finite_positive(self.m, "m")
         require_same_grid(self.potential, self)
 
     @property
@@ -119,8 +124,7 @@ def _cayley(model: QuantumModel, dt: float):
     (the LU routines need at least 3 unknowns); they pass the endpoint
     entries through.
     """
-    if not (np.isfinite(dt) and dt != 0):
-        raise ValueError(f"need a finite nonzero time step, got {dt}")
+    require_finite_positive(abs(dt), "time step |dt|")
     h_diag, h_off = _dirichlet_bands(model)
     theta = 1j * dt / (2.0 * model.hbar)
     off = np.pad(np.full(model.grid.n_points - 3, theta * h_off), 1)  # sub/superdiagonal
@@ -179,7 +183,7 @@ class WavefunctionPath:
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"state {k} has a non-finite entry")
             nrm = _norm(grid, row)
-            if abs(nrm - 1.0) > 1e-8:
+            if abs(nrm - 1.0) > NORM_TOL:
                 raise ValueError(f"state {k} has norm {nrm!r}, expected 1")
         psi.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -315,6 +319,8 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     rho1 places more than STRAY_MASS_TOL of mass over the node region of
     the reference state (grid.require_negligible_mass); points where the
     reference density is not representable at all contribute zero.
+    NonPositiveMass is raised, never a renormalization, when the new state
+    misses unit norm by more than NORM_TOL.
     """
     require_same_grid(rho1, path.model)
     grid = path.model.grid
@@ -327,6 +333,10 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     dead = rho < 1e-250
     ratio = np.where(dead, 0.0, rho1.values / np.where(dead, 1.0, rho))
     tilde1 = ComplexField(grid, np.sqrt(ratio) * psi1)
+    nrm = norm_l2(tilde1)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NonPositiveMass(f"terminal density has mass {nrm**2!r} where the reference "
+                              f"is representable; the new state would have norm {nrm!r}")
     n_steps = max(len(path.times) - 1, 1)
     return evolve(tilde1, path.model, path.t1, path.t0, n_steps)
 
@@ -450,7 +460,7 @@ def finite_action(path: WavefunctionPath) -> float:
     that the underlying state has finite action.
     """
     grid = path.model.grid
-    values = np.abs(np.gradient(path.psi, grid.h, axis=1, edge_order=2)) ** 2 @ grid.weights
+    values = np.abs(_gradient_values(path.psi, grid.h)) ** 2 @ grid.weights
     if path.times.shape[0] == 1:
         return float(values[0])
     return float(np.trapezoid(values, path.times))

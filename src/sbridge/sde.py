@@ -130,6 +130,8 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
     times = require_time_grid(times, 2)
     if n_paths < 1:
         raise EmptyEnsemble("need n_paths >= 1")
+    if not 0 <= sigma2 < np.inf:  # sigma2 = 0 samples the noiseless ODE
+        raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
     sigma = np.sqrt(sigma2)
     n_times = times.shape[0]
     # a drift table bounds each increment by its width, and its clamps by CLAMP_BUDGET

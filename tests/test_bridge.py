@@ -90,6 +90,9 @@ def test_bridge_density_boundary_conditions(setup):
     d1 = bridge_density(sol, 1.0)
     assert np.max(np.abs(d0.values - problem.rho0.values)) < 1e-8
     assert np.max(np.abs(d1.values - problem.rho1.values)) < 1e-8
+    # times within 1e-12 of an end are that end
+    assert np.array_equal(bridge_density(sol, -1e-13).values, d0.values)
+    assert np.array_equal(bridge_density(sol, 1.0 + 1e-13).values, d1.values)
 
 
 def test_bridge_density_mass_without_renormalization(setup):
@@ -250,6 +253,9 @@ def test_wiener_flow_and_backward_drift_fields():
     bulk = np.abs(grid.points) <= 3.0
     expected = grid.points[bulk] / 2.0  # x / (1 + t) at t = 1
     assert np.max(np.abs(gammas[-1].values[bulk] - expected)) < 1e-4
+    for bad in ([0.0, 0.0, 1.0], [1.0, 0.5, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            wiener_marginal_flow(rho0, bad, 1.0)
 
 
 def test_wiener_flow_mass_with_under_resolved_steps():
@@ -294,6 +300,9 @@ def test_mixture_density_components(setup):
         mixture_density(grid, [(1.0, {"kind": "csv", "path": "rho.csv"})])
     with pytest.raises(ValueError):
         mixture_density(grid, [(-0.5, gauss), (1.5, gauss)])
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            gaussian_density(grid, 0.0, bad)
 
 
 def test_problem_rejects_kernel_of_other_variance(setup):
@@ -302,6 +311,9 @@ def test_problem_rejects_kernel_of_other_variance(setup):
         BridgeProblem(problem.rho0, problem.rho1, kernel, 0.5)
     with pytest.raises(ValueError):
         BridgeProblem(problem.rho0, problem.rho1, heat_kernel(grid, 0.0, 1.0, 2.0), 1.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            BridgeProblem(problem.rho0, problem.rho1, kernel, bad)
 
 
 def test_times_outside_the_problem_interval_are_rejected(setup):
@@ -310,6 +322,8 @@ def test_times_outside_the_problem_interval_are_rejected(setup):
         bridge_drift_fields(sol, [0.5, 1.5])
     with pytest.raises(TimeMismatch):
         bridge_drift(sol, -0.5)
+    with pytest.raises(TimeMismatch):
+        bridge_density(sol, np.nan)
 
 
 #: weight, mean and variance of the first component, mean and variance of the second

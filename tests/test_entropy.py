@@ -113,6 +113,17 @@ def test_constant_drift_mismatch_kinetic_value(grid):
     assert rep.total == rep.static_term + rep.kinetic_term
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_path_entropy_rejects_non_positive_or_non_finite_sigma2(grid, bad):
+    rho = gaussian_density(grid, 0.0, 1.0)
+    zero = lambda x, t: np.zeros_like(x)
+    ens = sample_forward(zero, rho, 1.0, np.linspace(0.0, 1.0, 11), 10, seed=8)
+    with pytest.raises(ValueError):
+        path_entropy_forward(rho, rho, zero, zero, ens, bad)
+    with pytest.raises(ValueError):
+        path_entropy_backward(rho, rho, zero, zero, ens, bad)
+
+
 def test_kinetic_scales_inversely_with_sigma2(grid):
     rho = gaussian_density(grid, 0.0, 1.0)
     times = np.linspace(0.0, 1.0, 201)

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from sbridge.errors import InvalidInterval, TruncationWarning
 from sbridge.grid import Grid1D, ScalarField, inner, integrate, normalize
-from sbridge.kernels import heat_kernel, log_heat_propagate
+from sbridge.kernels import TransitionKernel, heat_kernel, log_heat_propagate
 
 from oracles import heat_matrix
 
@@ -69,8 +69,14 @@ def test_heat_kernel_rejects_bad_arguments(grid):
         heat_kernel(grid, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidInterval):
         heat_kernel(grid, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        heat_kernel(grid, 0.0, 1.0, -1.0)
+    for s, t in [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)]:
+        with pytest.raises(InvalidInterval):
+            TransitionKernel(grid, s, t, 1.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            heat_kernel(grid, 0.0, 1.0, bad)
+        with pytest.raises(ValueError):
+            TransitionKernel(grid, 0.0, 1.0, bad)
 
 
 def test_heat_kernel_builds_no_matrix():
@@ -237,8 +243,9 @@ def test_log_heat_propagate_of_all_zero_input_is_minus_inf(grid):
 
 
 def test_log_heat_propagate_rejects_bad_input(grid):
-    with pytest.raises(ValueError):
-        log_heat_propagate(grid, np.zeros(grid.n_points), 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            log_heat_propagate(grid, np.zeros(grid.n_points), bad)
     with pytest.raises(ValueError):
         log_heat_propagate(grid, np.zeros(grid.n_points - 1), 1.0)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from sbridge.errors import (
     BoundaryMassWarning,
+    NonPositiveMass,
     SupportViolation,
     TerminalMismatch,
     ZeroProbabilityRegion,
@@ -73,6 +74,8 @@ def test_model_rejects_non_positive_or_non_finite_constants(grid, bad):
         QuantumModel(bad, 1.0, zero, grid)
     with pytest.raises(ValueError):
         QuantumModel(1.0, bad, zero, grid)
+    with pytest.raises(ValueError):
+        gaussian_packet(grid, sigma0=bad)
 
 
 def test_step_preserves_norm(model, packet):
@@ -340,6 +343,14 @@ def test_quantum_bridge_keeps_unit_norm(grid, model, packet):
     tilde = quantum_bridge(path, rho1)
     for s in tilde.states:
         assert abs(norm_l2(s) - 1.0) < 1e-8
+
+
+def test_quantum_bridge_refuses_terminal_mass_off_one(grid, model, packet):
+    # mass 1 + 5e-7 passes DensityField's 1e-6 default but not the path's norm tolerance
+    path = evolve(packet, model, 0.0, 1.0, 40)
+    rho1 = DensityField(grid, (1.0 + 5e-7) * path.density_at(1.0).values)
+    with pytest.raises(NonPositiveMass, match="terminal density has mass 1.0000005"):
+        quantum_bridge(path, rho1)
 
 
 def test_quantum_bridge_support_violation(grid, model):

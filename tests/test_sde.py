@@ -274,8 +274,16 @@ def test_non_finite_drift_is_a_blowup(grid):
 
 
 def test_ensemble_validation(grid):
+    five = np.linspace(0, 1, 5)
     with pytest.raises(EmptyEnsemble):
-        sample_forward(ZERO, point_start(grid), 1.0, np.linspace(0, 1, 5), 0, seed=1)
+        sample_forward(ZERO, point_start(grid), 1.0, five, 0, seed=1)
+    for sample in (sample_forward, sample_backward):
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                sample(ZERO, point_start(grid), bad, five, 10, seed=1)
+        # sigma2 = 0 samples the noiseless ODE: with zero drift no path moves
+        ens = sample(ZERO, point_start(grid), 0.0, five, 10, seed=1)
+        assert np.all(ens.positions == ens.positions[:, :1])
     for times in BAD_TIMES:
         with pytest.raises(ValueError, match="strictly increasing"):
             PathEnsemble(times, np.zeros((2, 3)), 1.0, 0, "forward")
