@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import DENSITY_FLOOR, DensityField, require_negligible_mass, require_same_grid
-from .grid import require_finite_positive
-from .sde import path_integral
+from .grid import _Cells, require_finite_positive
+from .sde import GridDrift, _read, path_integral
 
 
 def kl_divergence(p: DensityField, q: DensityField) -> float:
@@ -62,14 +62,24 @@ def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyRep
     """KL(q, p) plus the per-path drift mismatch |dq - dp|^2 / (2 sigma2) dt, averaged.
 
     Forward integrals use left endpoints (matching the forward Euler-Maruyama
-    discretization), backward ones use right endpoints.
+    discretization), backward ones use right endpoints. sigma2 must be the
+    ensemble's own.
     """
     require_finite_positive(sigma2, "sigma2")
+    if sigma2 != ens.sigma2:
+        raise ValueError(f"sigma2 {sigma2} differs from the ensemble's {ens.sigma2}")
     static = kl_divergence(q, p)
+    # drift tables read at one cell per row, on the grid of the first one
+    grid = next((d.grid for d in (drift_q, drift_p) if isinstance(d, GridDrift)), None)
+    cells = _Cells(grid, ens.n_paths) if grid is not None else None
+    buf_q, buf_p = np.empty(ens.n_paths), np.empty(ens.n_paths)
 
     def mismatch2(x, t):
-        return (np.asarray(drift_q(x, t), dtype=float)
-                - np.asarray(drift_p(x, t), dtype=float)) ** 2
+        if cells is not None:
+            cells.find(x)
+        d = np.subtract(_read(drift_q, cells, x, t, buf_q), _read(drift_p, cells, x, t, buf_p),
+                        out=buf_q)
+        return np.square(d, out=d)
 
     endpoint = {"forward": "left", "backward": "right"}[direction]
     acc = path_integral(ens, mismatch2, endpoint) / (2.0 * sigma2)

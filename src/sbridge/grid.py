@@ -65,12 +65,19 @@ class ScalarField:
             raise ValueError(
                 f"expected {grid.n_points} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         values = values.copy()
         values.setflags(write=False)
         self.grid = grid
         self.values = values
+
+    @classmethod
+    def _view(cls, grid: Grid1D, values: np.ndarray):
+        """A field over values already checked and read-only, without a second check or a copy."""
+        field = cls.__new__(cls)
+        field.grid, field.values = grid, values
+        return field
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n_points}, " \
@@ -162,20 +169,61 @@ def inner(f, g) -> float:
 def interp_uniform(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     """np.interp(x, grid.points, values), with the cell found from (x - x_min)/h.
 
-    Slope and offset use np.interp's arithmetic, so the two agree bit for bit
-    except within rounding of a node. Beyond a wall: the wall value; NaN: NaN.
+    It is the cell step (_Cells.find) followed by the lerp step
+    (_Cells.lerp); a caller reading several tables at the same positions
+    runs the cell step once. Slope and offset use np.interp's arithmetic, so
+    the two agree bit for bit except within rounding of a node. Beyond a
+    wall: the wall value; NaN: NaN.
     """
-    xc = np.clip(np.asarray(x, dtype=float), grid.x_min, grid.x_max)
-    # fmax sends NaN to cell 0 (a bare cast would give INT_MIN); NaN survives in xc
-    j = np.fmax((xc - grid.x_min) / grid.h, 0.0).astype(np.intp)
-    slope = np.empty(grid.n_points)
-    np.divide(np.diff(values), np.diff(grid.points), out=slope[:-1])
-    slope[-1] = 0.0  # x_max may land in cell n-1, at offset 0
-    # slope_j * (x - x_j) + values_j, in place: temporaries dominate at 1e4+ points
-    xc -= grid.points[j]
-    xc *= slope[j]
-    xc += values[j]
-    return xc
+    x = np.asarray(x, dtype=float)
+    return _Cells(grid, x.shape).find(x).lerp(values, _slopes(grid, values))
+
+
+class _Cells:
+    """Cell index j and offset x - x_j of a row of positions, in reused buffers.
+
+    find(x) is the cell step: it clips the positions to the walls, counts in
+    n_out those beyond them, and sets j and the offset; NaN goes to cell 0
+    and stays NaN in the offset. lerp is the lerp step: it reads one table
+    at those cells. The buffers serve every row of one shape, so a loop over
+    the rows of an ensemble allocates no n-sized array per row; without
+    that, glibc returns freed rows to the system and page-faults them back.
+    """
+
+    def __init__(self, grid: Grid1D, shape):
+        self.grid = grid
+        self.j = np.empty(shape, dtype=np.intp)
+        self.offset = np.empty(shape)
+        self._spare = np.empty(shape)
+        self.n_out = 0
+
+    def find(self, x) -> "_Cells":
+        g = self.grid
+        x = np.asarray(x, dtype=float)
+        self.n_out = int(np.count_nonzero((x < g.x_min) | (x > g.x_max)))
+        np.clip(x, g.x_min, g.x_max, out=self.offset)
+        cell = np.subtract(self.offset, g.x_min, out=self._spare)
+        cell /= g.h
+        # fmax sends NaN to cell 0 (a bare cast would give INT_MIN)
+        np.copyto(self.j, np.fmax(cell, 0.0, out=cell), casting="unsafe")
+        # j lies in [0, n - 1]; mode="clip" only spares take's copy of out
+        self.offset -= g.points.take(self.j, out=self._spare, mode="clip")
+        return self
+
+    def lerp(self, values: np.ndarray, slope: np.ndarray, out=None) -> np.ndarray:
+        """slope_j * (x - x_j) + values_j, into out or a new array."""
+        out = slope.take(self.j, out=out, mode="clip")
+        out *= self.offset
+        out += values.take(self.j, out=self._spare, mode="clip")
+        return out
+
+
+def _slopes(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """np.interp's slope of each cell; 0 in the last, where x_max lands at offset 0."""
+    slope = np.zeros(grid.n_points)
+    x = grid.points
+    np.divide(values[1:] - values[:-1], x[1:] - x[:-1], out=slope[:-1])
+    return slope
 
 
 def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:

@@ -8,7 +8,9 @@ norms are trapezoid quadratures. The step therefore preserves the trapezoid
 norm exactly, a negative step is exactly inverse to a positive one, and the
 box modes of families.box_mode are exact eigenvectors. evolve factors the
 step's tridiagonal matrix once and writes each step into one row of a
-time-major array, which a WavefunctionPath stores. On top of the evolved
+time-major array, which a WavefunctionPath stores. The LAPACK routines of
+the factor load at the first factorization, not at import, so a program
+that never evolves a state does not load scipy.linalg. On top of the evolved
 wavefunctions sit the current/osmotic drift decomposition, the terminal
 reconditioning of a wavefunction path on a new terminal density, the
 log-ratio transport residual, the region-conditioning (collapse) operator,
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
     BoundaryMassWarning,
@@ -57,6 +58,10 @@ WALL_MASS_TOL = 1e-10
 #: largest phase of the terminal ratio tilde_psi/psi that hjb_residual accepts
 TERMINAL_PHASE_TOL = 1e-10
 
+#: rows per block where a check runs over all states or steps of a path; a
+#: block bounds the temporaries, a full (n_times, n_points) stack would not
+_ROW_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class QuantumModel:
@@ -91,8 +96,11 @@ class QuantumModel:
 
 
 def _off_node(rho: np.ndarray) -> np.ndarray:
-    """Points where the density rho = |psi|^2 lies above NODE_FLOOR times its peak."""
-    return rho > NODE_FLOOR * rho.max()
+    """Points where the density rho = |psi|^2 lies above NODE_FLOOR times its peak.
+
+    A stack of densities is taken row by row, each against its own peak.
+    """
+    return rho > NODE_FLOOR * rho.max(axis=-1, keepdims=True)
 
 
 def _dirichlet_bands(model: QuantumModel):
@@ -106,14 +114,15 @@ def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
 
     The walls sit at x_min and x_max: the 3-point stencil reads zero there,
     whatever the endpoint entries of values hold, and the result has n - 2
-    entries. This is the operator the Cayley step factorizes, so the
-    quadratic form <psi, H psi> is conserved exactly along the evolution.
+    entries along the last axis (a stack of states is taken row by row).
+    This is the operator the Cayley step factorizes, so the quadratic form
+    <psi, H psi> is conserved exactly along the evolution.
     """
     diag, off = _dirichlet_bands(model)
-    inner = values[1:-1]
+    inner = values[..., 1:-1]
     out = diag * inner
-    out[:-1] += off * inner[1:]
-    out[1:] += off * inner[:-1]
+    out[..., :-1] += off * inner[..., 1:]
+    out[..., 1:] += off * inner[..., :-1]
     return out
 
 
@@ -124,6 +133,8 @@ def _cayley(model: QuantumModel, dt: float):
     (the LU routines need at least 3 unknowns); they pass the endpoint
     entries through.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     require_finite_positive(abs(dt), "time step |dt|")
     h_diag, h_off = _dirichlet_bands(model)
     theta = 1j * dt / (2.0 * model.hbar)
@@ -179,12 +190,15 @@ class WavefunctionPath:
         shape = (times.shape[0], grid.n_points)
         if psi.shape != shape:
             raise ValueError(f"need psi of shape (n_times, n_points) = {shape}, got {psi.shape}")
-        for k, row in enumerate(psi):
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"state {k} has a non-finite entry")
-            nrm = _norm(grid, row)
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"state {k} has norm {nrm!r}, expected 1")
+        for start in range(0, shape[0], _ROW_BLOCK):
+            # a NaN or inf entry makes its row's norm NaN or inf, so one test finds both
+            norms = np.sqrt(np.abs(psi[start:start + _ROW_BLOCK]) ** 2 @ grid.weights)
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+            if bad.size:
+                k = start + int(bad[0])
+                if not np.all(np.isfinite(psi[k])):
+                    raise ValueError(f"state {k} has a non-finite entry")
+                raise ValueError(f"state {k} has norm {float(norms[bad[0]])!r}, expected 1")
         psi.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "psi", psi)
@@ -199,8 +213,8 @@ class WavefunctionPath:
 
     @property
     def states(self) -> tuple:
-        """The stored states as ComplexFields, built anew on every access."""
-        return tuple(ComplexField(self.model.grid, row) for row in self.psi)
+        """The stored states as ComplexFields viewing the checked, read-only rows."""
+        return tuple(ComplexField._view(self.model.grid, row) for row in self.psi)
 
     def density_at(self, t: float) -> DensityField:
         """|psi|^2 at a stored time t; TimeNotStored for any other t."""
@@ -385,20 +399,24 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
             f"(tolerance {TERMINAL_PHASE_TOL:.0e})"
         )
 
-    def midpoint_defect(p, k, dt):
-        a, b = p.psi[k], p.psi[k + 1]
+    def midpoint_defect(p, steps, dt):
+        # S and the midpoint state of the steps in a block, one row per step
+        a, b = p.psi[steps], p.psi[steps.start + 1:steps.stop + 1]
         mid = 0.5 * (a + b)
-        defect = (b[1:-1] - a[1:-1]) / dt + (1j / model.hbar) * _dirichlet_apply_h(model, mid)
-        return mid[1:-1], defect
+        defect = (b[:, 1:-1] - a[:, 1:-1]) / dt + (1j / model.hbar) * _dirichlet_apply_h(model, mid)
+        return mid[:, 1:-1], defect
 
+    dts = np.diff(path.times)
     total = 0.0
-    for k in range(path.times.shape[0] - 1):
-        dt = path.times[k + 1] - path.times[k]
-        mid_p, s_p = midpoint_defect(path, k, dt)
-        mid_q, s_q = midpoint_defect(tilde_path, k, dt)
+    for start in range(0, dts.shape[0], _ROW_BLOCK):
+        steps = slice(start, min(start + _ROW_BLOCK, dts.shape[0]))
+        dt = dts[steps, None]
+        mid_p, s_p = midpoint_defect(path, steps, dt)
+        mid_q, s_q = midpoint_defect(tilde_path, steps, dt)
         mask = _off_node(np.abs(mid_p) ** 2) & _off_node(np.abs(mid_q) ** 2)
-        res = s_q[mask] / mid_q[mask] - s_p[mask] / mid_p[mask]
-        total += dt * float(np.sum(np.abs(res) ** 2))
+        res = np.divide(s_q, mid_q, out=np.zeros_like(s_q), where=mask)
+        res -= np.divide(s_p, mid_p, out=np.zeros_like(s_p), where=mask)
+        total += float(dts[steps] @ (np.abs(res) ** 2).sum(axis=1))
     return float(np.sqrt(model.grid.h * total))
 
 

@@ -21,6 +21,8 @@ from .grid import (
     DensityField,
     Grid1D,
     ScalarField,
+    _Cells,
+    _slopes,
     gradient,
     interp_uniform,
     laplacian,
@@ -45,6 +47,7 @@ class PathEnsemble:
     positions has shape (n_paths, n_times), in increasing-time order whatever
     the simulation direction. It views time-major storage (positions given in
     another layout are copied), so each column positions[:, k] is contiguous.
+    sigma2 is the diffusion coefficient the paths were sampled with.
     """
 
     times: np.ndarray
@@ -59,8 +62,10 @@ class PathEnsemble:
             raise ValueError("positions must be (n_paths, n_times)")
         if self.positions.shape[0] < 1:
             raise EmptyEnsemble("need n_paths >= 1")
-        if not np.all(np.isfinite(self.positions)):
+        # min and max propagate NaN and inf without a full-size temporary
+        if not np.isfinite(self.positions.min()) or not np.isfinite(self.positions.max()):
             raise ValueError("positions must be finite")
+        _require_sigma2(self.sigma2)
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "times", times)
@@ -77,7 +82,9 @@ class GridDrift:
     Lookup is nearest-neighbor in time (the SDE step must line up with the
     storage grid) and linear in space by uniform-grid index arithmetic
     (grid.interp_uniform). Positions outside the grid are clamped and
-    counted; runs exceeding the clamp budget fail validation.
+    counted; runs exceeding the clamp budget fail validation. Callers reading
+    several tables on one grid at the same positions find the cells once
+    (grid._Cells) and read each table with _at_cell.
     """
 
     def __init__(self, times, fields):
@@ -102,13 +109,25 @@ class GridDrift:
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
-        self.n_eval += x.size
-        self.n_clamped += int(np.count_nonzero((x < self.grid.x_min) | (x > self.grid.x_max)))
-        return interp_uniform(self.grid, self.table[self._time_slot(t)], x)
+        return self._at_cell(_Cells(self.grid, x.shape).find(x), t)
+
+    def _at_cell(self, cells, t, out=None):
+        """The stored row at t read at found _Cells of this grid (into out), counted as a call."""
+        self.n_eval += cells.j.size
+        self.n_clamped += cells.n_out
+        row = self.table[self._time_slot(t)]
+        return cells.lerp(row, _slopes(self.grid, row), out)
 
     @property
     def clamp_fraction(self) -> float:
         return self.n_clamped / self.n_eval if self.n_eval else 0.0
+
+
+def _read(drift, cells, x, t, out) -> np.ndarray:
+    """drift at (x, t): a GridDrift on the grid of cells, found at x, reads into out."""
+    if cells is not None and isinstance(drift, GridDrift) and drift.grid == cells.grid:
+        return drift._at_cell(cells, t, out)
+    return np.asarray(drift(x, t), dtype=float)
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -126,12 +145,17 @@ def _initial_positions(rho, u: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf, grid.points)
 
 
+def _require_sigma2(sigma2) -> None:
+    """ValueError unless sigma2 is finite and >= 0 (sigma2 = 0 is the noiseless ODE)."""
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
+
+
 def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
     times = require_time_grid(times, 2)
     if n_paths < 1:
         raise EmptyEnsemble("need n_paths >= 1")
-    if not 0 <= sigma2 < np.inf:  # sigma2 = 0 samples the noiseless ODE
-        raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
+    _require_sigma2(sigma2)
     sigma = np.sqrt(sigma2)
     n_times = times.shape[0]
     # a drift table bounds each increment by its width, and its clamps by CLAMP_BUDGET
@@ -149,18 +173,20 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
         rng = _block_generator(seed, b)
         x = _initial_positions(rho_start, rng.random(stop - start))
         positions[-1 if backward else 0, start:stop] = x
+        drift_dt = np.empty(stop - start)
         for k in steps:
             # step k joins times k and k+1; the drift is read where the step starts
             src, dst = (k + 1, k) if backward else (k, k + 1)
-            inc = rng.standard_normal(x.shape[0])
+            # the increment is built in the destination row, then x is added
+            inc = rng.standard_normal(out=positions[dst, start:stop])
             inc *= sigma * np.sqrt(dts[k])
-            inc += np.asarray(drift(x, times[src]), dtype=float) * (sign * dts[k])
-            peak = float(np.max(np.abs(inc)))  # NaN or inf if any entry is
+            inc += np.multiply(drift(x, times[src]), sign * dts[k], out=drift_dt)
+            peak = max(float(inc.max()), -float(inc.min()))  # NaN or inf if any entry is
             if not np.isfinite(peak):
                 raise DriftBlowup("non-finite Euler-Maruyama increment")
             if table and peak > width:
                 raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
-            x = np.add(x, inc, out=positions[dst, start:stop])
+            x = np.add(inc, x, out=inc)
 
     if table:
         evals, clamped = drift.n_eval - ev0, drift.n_clamped - cl0
@@ -247,8 +273,9 @@ def path_integral(ens: PathEnsemble, g, endpoint: str = "left") -> np.ndarray:
     shift = {"left": 0, "right": 1}[endpoint]
     rows = ens.positions.T  # contiguous, one row per time
     acc = np.zeros(ens.n_paths)
+    term = np.empty(ens.n_paths)
     for k, dt in enumerate(np.diff(ens.times)):
-        acc += np.asarray(g(rows[k + shift], ens.times[k + shift]), dtype=float) * dt
+        acc += np.multiply(g(rows[k + shift], ens.times[k + shift]), dt, out=term)
     return acc
 
 
@@ -262,10 +289,19 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
     grid = f.grid
     fp = gradient(f).values
     fpp = laplacian(f).values
+    slope_fp, slope_fpp = _slopes(grid, fp), _slopes(grid, fpp)
+    # one cell per row for f', f'' and a drift table on f's grid
+    cells = _Cells(grid, ens.n_paths)
+    buf = [np.empty(ens.n_paths) for _ in range(3)]
 
     def generator(x, t):
-        drift = np.asarray(beta(x, t), dtype=float)
-        return drift * interp_uniform(grid, fp, x) + 0.5 * sigma2 * interp_uniform(grid, fpp, x)
+        cells.find(x)
+        out = np.multiply(_read(beta, cells, x, t, buf[0]), cells.lerp(fp, slope_fp, buf[1]),
+                          out=buf[1])
+        diffusion = cells.lerp(fpp, slope_fpp, buf[2])
+        diffusion *= 0.5 * sigma2
+        out += diffusion
+        return out
 
     rhs_acc = path_integral(ens, generator)
     lhs_paths = (interp_uniform(grid, f.values, ens.positions[:, -1])

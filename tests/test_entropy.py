@@ -12,7 +12,7 @@ from sbridge.entropy import (
 from sbridge.errors import SupportViolation
 from sbridge.families import gaussian_density
 from sbridge.grid import DensityField, Grid1D, ScalarField, normalize
-from sbridge.sde import sample_backward, sample_forward
+from sbridge.sde import GridDrift, PathEnsemble, sample_backward, sample_forward
 
 
 def gaussian_kl(var1, var2):
@@ -122,6 +122,46 @@ def test_path_entropy_rejects_non_positive_or_non_finite_sigma2(grid, bad):
         path_entropy_forward(rho, rho, zero, zero, ens, bad)
     with pytest.raises(ValueError):
         path_entropy_backward(rho, rho, zero, zero, ens, bad)
+
+
+def test_path_entropy_refuses_a_sigma2_other_than_the_ensembles(grid):
+    rho = gaussian_density(grid, 0.0, 1.0)
+    zero = lambda x, t: np.zeros_like(x)
+    one = lambda x, t: np.ones_like(x)
+    ens = sample_forward(zero, rho, 1.0, np.linspace(0.0, 1.0, 11), 10, seed=8)
+    # scored at 4 instead of 1, the kinetic term would read 1/8 instead of 1/2
+    with pytest.raises(ValueError, match="ensemble"):
+        path_entropy_forward(rho, rho, one, zero, ens, 4.0)
+    with pytest.raises(ValueError, match="ensemble"):
+        path_entropy_backward(rho, rho, one, zero, ens, 4.0)
+    assert path_entropy_forward(rho, rho, one, zero, ens, 1.0).kinetic_term == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("same_grid", [True, False])
+def test_drift_tables_score_as_plain_callables_do(grid, same_grid):
+    # two tables on one grid share each row's cell; on two grids each finds
+    # its own: either way the totals and the lookup counters are those of the
+    # same tables called one at a time
+    rng = np.random.default_rng(43)
+    times = np.linspace(0.0, 1.0, 21)
+    grid_p = grid if same_grid else Grid1D(-6.0, 6.0, 301)
+    values_q = rng.standard_normal((21, grid.n_points))
+    values_p = rng.standard_normal((21, grid_p.n_points))
+
+    def tables():
+        return (GridDrift(times, [ScalarField(grid, v) for v in values_q]),
+                GridDrift(times, [ScalarField(grid_p, v) for v in values_p]))
+
+    # about 3 % of the positions lie beyond x = +-10, more beyond +-6
+    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0, 0, "forward")
+    q, p = gaussian_density(grid, 0.0, 1.0), gaussian_density(grid, 0.3, 1.2)
+    read, called = tables(), tables()
+    plain = [lambda x, t, d=d: d(x, t) for d in called]
+    for entropy in (path_entropy_forward, path_entropy_backward):
+        assert entropy(q, p, *read, ens, 1.0) == entropy(q, p, *plain, ens, 1.0)
+    counts = [(d.n_eval, d.n_clamped) for d in read]
+    assert counts == [(d.n_eval, d.n_clamped) for d in called]
+    assert counts[0][0] == 2 * 20 * 400 and counts[0][1] > 0
 
 
 def test_kinetic_scales_inversely_with_sigma2(grid):

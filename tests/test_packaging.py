@@ -1,6 +1,10 @@
-"""Packaging metadata: every declared console script must resolve."""
+"""Packaging metadata: every declared console script must resolve, and the
+package loads only what its callers run."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +22,21 @@ def test_console_scripts_name_importable_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name!r} -> {target!r} is not callable"
+
+
+def test_import_leaves_scipy_linalg_to_the_first_cayley_factor():
+    # LAPACK serves only the Schrodinger step; a bridge-only program never loads it
+    script = (
+        "import sys\n"
+        "import sbridge as sb\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded at import'\n"
+        "g = sb.Grid1D(-8.0, 8.0, 201)\n"
+        "path = sb.evolve(sb.gaussian_packet(g, 0.0, 1.0), sb.QuantumModel.free(g), 0.0, 0.1, 4)\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "print(abs(sb.norm_l2(path.states[-1]) - 1.0) < 1e-12)\n"
+    )
+    src = str(PYPROJECT.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"

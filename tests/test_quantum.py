@@ -227,6 +227,18 @@ def test_path_refuses_non_finite_entry_and_names_the_row(model, packet):
         WavefunctionPath(np.arange(4.0), psi, model)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+def test_path_check_names_the_first_bad_row_of_a_later_block(model, packet, bad):
+    psi = np.stack([packet.values] * 40)
+    psi[39] *= 2.0
+    psi[37, 200] = bad
+    with pytest.raises(ValueError, match="state 37 has a non-finite entry"):
+        WavefunctionPath(np.arange(40.0), psi, model)
+    psi[37, 200] = packet.values[200]
+    with pytest.raises(ValueError, match="state 39 has norm 2.0"):
+        WavefunctionPath(np.arange(40.0), psi, model)
+
+
 def test_path_refuses_non_unit_norm_row_and_names_it(model, packet):
     psi = np.stack([packet.values] * 4)
     psi[1] *= 1.0 + 1e-6
@@ -402,6 +414,45 @@ def test_hjb_residual_large_for_non_solution(grid, model, packet):
         model,
     )
     assert hjb_residual(path, fake) > 0.5
+
+
+def hjb_per_step(path, tilde):
+    """hjb_residual's sum written one step at a time, with the same stencil arithmetic."""
+    m = path.model
+    c = m.hbar**2 / (2.0 * m.m * m.grid.h**2)
+    diag, off = 2.0 * c + m.potential.values[1:-1], -c
+
+    def schr(p, k, dt):
+        a, b = p.psi[k], p.psi[k + 1]
+        mid = 0.5 * (a + b)
+        inner = mid[1:-1]
+        h_mid = diag * inner
+        h_mid[:-1] += off * inner[1:]
+        h_mid[1:] += off * inner[:-1]
+        return inner, (b[1:-1] - a[1:-1]) / dt + (1j / m.hbar) * h_mid
+
+    total = 0.0
+    for k in range(path.times.shape[0] - 1):
+        dt = path.times[k + 1] - path.times[k]
+        (mid_p, s_p), (mid_q, s_q) = schr(path, k, dt), schr(tilde, k, dt)
+        rho_p, rho_q = np.abs(mid_p) ** 2, np.abs(mid_q) ** 2
+        mask = (rho_p > 1e-12 * rho_p.max()) & (rho_q > 1e-12 * rho_q.max())
+        res = s_q[mask] / mid_q[mask] - s_p[mask] / mid_p[mask]
+        total += dt * float(np.sum(np.abs(res) ** 2))
+    return float(np.sqrt(m.grid.h * total))
+
+
+@pytest.mark.parametrize("n_steps", [1, 16, 37])
+def test_hjb_residual_blocks_match_a_per_step_sum(grid, packet, n_steps):
+    trap = QuantumModel(1.0, 1.0, ScalarField(grid, grid.points**2 / 8.0), grid)
+    path = evolve(packet, trap, 0.0, 0.5, n_steps)
+    tilde = quantum_bridge(path, gaussian_density(grid, 0.4, 1.1))
+    # a path that does not solve the model but ends on the bridge's state
+    fake = WavefunctionPath(path.times, np.concatenate([path.psi[:-1], tilde.psi[-1:]]), trap)
+    for other in (tilde, fake):
+        ref = hjb_per_step(path, other)
+        assert ref > 0.0
+        assert hjb_residual(path, other) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_hjb_terminal_condition_slice(grid, model, packet):

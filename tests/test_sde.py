@@ -201,6 +201,25 @@ def test_generator_check_ou_stationary_balance(grid):
     assert res.discrepancy < 3.0 * res.std_error + 2e-3
 
 
+@pytest.mark.parametrize("same_grid", [True, False])
+def test_generator_check_reads_a_drift_table_as_a_plain_callable_does(grid, same_grid):
+    # a table on f's grid reads the cell of f' and f''; on another grid it
+    # finds its own: either way the figures and the lookup counters are those
+    # of the table called as a function
+    rng = np.random.default_rng(47)
+    times = np.linspace(0.0, 1.0, 21)
+    beta_grid = grid if same_grid else Grid1D(-6.0, 6.0, 301)
+    values = rng.standard_normal((21, beta_grid.n_points))
+    read, called = (GridDrift(times, [ScalarField(beta_grid, v) for v in values])
+                    for _ in range(2))
+    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0, 0, "forward")
+    f = ScalarField(grid, np.sin(grid.points))
+    assert (generator_check(f, ens, read, 1.0)
+            == generator_check(f, ens, lambda x, t: called(x, t), 1.0))
+    assert (read.n_eval, read.n_clamped) == (called.n_eval, called.n_clamped)
+    assert read.n_eval == 20 * 400 and read.n_clamped > 0
+
+
 def test_grid_drift_interpolation_and_clamping(grid):
     times = np.array([0.0, 1.0])
     fields = [ScalarField(grid, grid.points), ScalarField(grid, 2.0 * grid.points)]
@@ -289,6 +308,16 @@ def test_ensemble_validation(grid):
             PathEnsemble(times, np.zeros((2, 3)), 1.0, 0, "forward")
         with pytest.raises(ValueError, match="strictly increasing"):
             sample_forward(ZERO, point_start(grid), 1.0, times, 10, seed=1)
+    # a hand-built ensemble: finite positions and the samplers' sigma2 rule
+    for bad in (np.nan, np.inf, -np.inf):
+        positions = np.zeros((4, 5))
+        positions[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PathEnsemble(five, positions, 1.0, 0, "forward")
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma2"):
+            PathEnsemble(five, np.zeros((4, 5)), bad, 0, "forward")
+    assert PathEnsemble(five, np.zeros((4, 5)), 0.0, 0, "forward").sigma2 == 0.0
 
 
 def test_empirical_energy_constant_drift(grid):
