@@ -117,14 +117,6 @@ class BridgeSolution:
     residual: float
     residual_history: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def phi1(self) -> ScalarField:
-        return ScalarField(self.problem.kernel.grid, np.exp(self.log_phi1))
-
-    @property
-    def phihat0(self) -> ScalarField:
-        return ScalarField(self.problem.kernel.grid, np.exp(self.log_phihat0))
-
     def marginal_residuals(self) -> tuple[float, float]:
         """L1 defects of phi*phihat against rho0 and rho1 at the endpoints."""
         p = self.problem
@@ -266,7 +258,10 @@ def half_bridge(
     The entropy-optimal update keeps the reference backward drift and swaps
     in rho1 at t1; the optimal value is the static divergence of rho1 from
     the reference terminal marginal. The result feeds sde.sample_backward.
+    t0 < t1 must both be finite and sigma2 finite and positive.
     """
+    require_time_grid((t0, t1), 2)
+    require_finite_positive(sigma2, "sigma2")
     require_same_grid(prior_marginal_t1, rho1)
     value = kl_divergence(rho1, prior_marginal_t1)
     if not np.isfinite(value):
@@ -316,8 +311,10 @@ def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[Densi
     """Marginals of the Wiener prior started from rho0 along a time grid.
 
     Each marginal is propagated directly from rho0 over [t_0, t_k]; the first
-    is rho0 itself. times must be strictly increasing.
+    is rho0 itself. times must be strictly increasing and sigma2 finite and
+    positive, even for a single time.
     """
+    require_finite_positive(sigma2, "sigma2")
     times = require_time_grid(times, 1)
     with np.errstate(divide="ignore"):
         log_rho0 = np.log(rho0.values)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import DENSITY_FLOOR, DensityField, require_negligible_mass, require_same_grid
 from .grid import _Cells, require_finite_positive
-from .sde import GridDrift, _read, path_integral
+from .sde import GridDrift, _mc_mean, _read, _require_ensemble_sigma2, path_integral
 
 
 def kl_divergence(p: DensityField, q: DensityField) -> float:
@@ -66,8 +66,7 @@ def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyRep
     ensemble's own.
     """
     require_finite_positive(sigma2, "sigma2")
-    if sigma2 != ens.sigma2:
-        raise ValueError(f"sigma2 {sigma2} differs from the ensemble's {ens.sigma2}")
+    _require_ensemble_sigma2(ens, sigma2)
     static = kl_divergence(q, p)
     # drift tables read at one cell per row, on the grid of the first one
     grid = next((d.grid for d in (drift_q, drift_p) if isinstance(d, GridDrift)), None)
@@ -83,8 +82,7 @@ def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyRep
 
     endpoint = {"forward": "left", "backward": "right"}[direction]
     acc = path_integral(ens, mismatch2, endpoint) / (2.0 * sigma2)
-    se = float(acc.std(ddof=1) / np.sqrt(acc.shape[0])) if acc.shape[0] > 1 else float("nan")
-    kinetic = float(acc.mean())
+    kinetic, se = _mc_mean(acc)
     return EntropyReport(static, kinetic, static + kinetic, direction, se)
 
 

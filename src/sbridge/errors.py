@@ -13,8 +13,13 @@ class NonPositiveMass(ToolkitError):
     """Normalization requested for a field with nonpositive mass or negative values."""
 
 
-class InvalidInterval(ToolkitError):
-    """A transition kernel was requested over a degenerate or reversed time interval."""
+class InvalidInterval(ToolkitError, ValueError):
+    """A time grid or interval is not 1-D, finite and strictly increasing, or too short.
+
+    grid.require_time_grid raises it for every time grid and for the
+    interval [s, t] of a transition kernel or a half bridge. It is also a
+    ValueError, the error any other invalid argument raises.
+    """
 
 
 class TimeMismatch(ToolkitError):

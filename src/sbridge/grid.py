@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveMass, SupportViolation, TimeNotStored
+from .errors import GridMismatch, InvalidInterval, NonPositiveMass, SupportViolation, TimeNotStored
 
 #: largest quadrature mass a unit-mass density may carry where a reference
 #: vanishes and still count as supported by it
@@ -129,17 +129,25 @@ def require_finite_positive(value, what: str) -> None:
 
 
 def require_time_grid(times, min_len: int) -> np.ndarray:
-    """times as a float array; ValueError unless 1-D, strictly increasing and min_len long."""
+    """times as a float array: 1-D, finite, strictly increasing and at least min_len long.
+
+    Anything else raises InvalidInterval, a ValueError. This is the one test
+    of a time grid: the stored times of ensembles, drift tables and
+    wavefunction paths, the samplers' grids, and the interval [s, t] of a
+    transition kernel or a half bridge, passed as two times.
+    """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.shape[0] < min_len or np.any(np.diff(times) <= 0):
-        raise ValueError(f"times must be a 1-D strictly increasing grid of >= {min_len} times")
+    if (times.ndim != 1 or times.shape[0] < min_len or not np.isfinite(times).all()
+            or np.any(np.diff(times) <= 0)):
+        raise InvalidInterval(f"need a 1-D finite strictly increasing grid of >= {min_len} times")
     return times
 
 
 def stored_time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored time nearest t; TimeNotStored beyond 1e-9 * max(span, 1) of it."""
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * max(times[-1] - times[0], 1.0):
+    # written so that a NaN t fails the match
+    if not abs(times[i] - t) <= 1e-9 * max(times[-1] - times[0], 1.0):
         raise TimeNotStored(f"t={t} is not on the stored time grid")
     return i
 
@@ -260,9 +268,7 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def normalize(f: ScalarField) -> DensityField:
-    """Divide a nonnegative field by its trapezoid mass."""
-    if np.any(f.values < 0):
-        raise NonPositiveMass("cannot normalize a field with negative values")
+    """Divide a nonnegative field by its trapezoid mass; DensityField refuses negative values."""
     mass = integrate(f)
     if not mass > 0:
         raise NonPositiveMass(f"cannot normalize: mass {mass!r}")

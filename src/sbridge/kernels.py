@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInterval, TruncationWarning
-from .grid import Grid1D, require_finite_positive
+from .errors import TruncationWarning
+from .grid import Grid1D, require_finite_positive, require_time_grid
 
 #: row-sum defect beyond which a kernel is considered truncated by the domain
 TRUNCATION_BUDGET = 1e-4
@@ -43,7 +43,8 @@ _LINEAR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 class TransitionKernel:
     """Wiener transition kernel over [s, t]: the Gaussian of the given variance.
 
-    log_heat_propagate(grid, log_f, variance) applies it.
+    s < t must both be finite (grid.require_time_grid, InvalidInterval
+    otherwise). log_heat_propagate(grid, log_f, variance) applies it.
     """
 
     grid: Grid1D
@@ -52,8 +53,7 @@ class TransitionKernel:
     variance: float
 
     def __post_init__(self):
-        if not -np.inf < self.s < self.t < np.inf:
-            raise InvalidInterval(f"need finite t > s, got [{self.s}, {self.t}]")
+        require_time_grid((self.s, self.t), 2)
         require_finite_positive(self.variance, "variance")
 
 

@@ -166,8 +166,9 @@ def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> Co
     return ComplexField(model.grid, _cayley(model, dt)(psi.values))
 
 
-def _norm(grid: Grid1D, values: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(grid.weights, np.abs(values) ** 2)))
+def _norm_sq(grid: Grid1D, values: np.ndarray):
+    """Squared trapezoid norm of values along the last axis (row by row for a stack)."""
+    return np.abs(values) ** 2 @ grid.weights
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ class WavefunctionPath:
             raise ValueError(f"need psi of shape (n_times, n_points) = {shape}, got {psi.shape}")
         for start in range(0, shape[0], _ROW_BLOCK):
             # a NaN or inf entry makes its row's norm NaN or inf, so one test finds both
-            norms = np.sqrt(np.abs(psi[start:start + _ROW_BLOCK]) ** 2 @ grid.weights)
+            norms = np.sqrt(_norm_sq(grid, psi[start:start + _ROW_BLOCK]))
             bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
             if bad.size:
                 k = start + int(bad[0])
@@ -228,7 +229,7 @@ def norm_l2(psi: ComplexField) -> float:
     This is the norm crank_nicolson_step conserves: its walls sit at x_min
     and x_max, where the trapezoid weight is h/2 and the entries never change.
     """
-    return _norm(psi.grid, psi.values)
+    return float(np.sqrt(_norm_sq(psi.grid, psi.values)))
 
 
 def normalize_wavefunction(psi: ComplexField) -> ComplexField:
@@ -462,13 +463,12 @@ def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
         raise ZeroProbabilityRegion(f"regions {merged} carry no probability mass")
 
     chi_psi = np.where(mask, psi.values, 0.0)
-    return ComplexField(grid, chi_psi / _norm(grid, chi_psi)), float(p1)
+    return normalize_wavefunction(ComplexField(grid, chi_psi)), float(p1)
 
 
 def gradient_norm_sq(psi: ComplexField) -> float:
     """Squared L2 norm of the spatial derivative, integral of |psi'|^2 dx."""
-    g = _gradient_values(psi.values, psi.grid.h)
-    return float(np.dot(psi.grid.weights, np.abs(g) ** 2))
+    return float(_norm_sq(psi.grid, _gradient_values(psi.values, psi.grid.h)))
 
 
 def finite_action(path: WavefunctionPath) -> float:
@@ -477,8 +477,7 @@ def finite_action(path: WavefunctionPath) -> float:
     Always finite on a grid; its stability under refinement is the check
     that the underlying state has finite action.
     """
-    grid = path.model.grid
-    values = np.abs(_gradient_values(path.psi, grid.h)) ** 2 @ grid.weights
+    values = _norm_sq(path.model.grid, _gradient_values(path.psi, path.model.grid.h))
     if path.times.shape[0] == 1:
         return float(values[0])
     return float(np.trapezoid(values, path.times))

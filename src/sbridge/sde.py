@@ -100,7 +100,8 @@ class GridDrift:
         self.n_clamped = 0
 
     def _time_slot(self, t: float) -> int:
-        if t < self.times[0] - self._slot_tol or t > self.times[-1] + self._slot_tol:
+        # written so that a NaN t fails the range test
+        if not self.times[0] - self._slot_tol <= t <= self.times[-1] + self._slot_tol:
             raise TimeNotStored(
                 f"drift requested at t={t}, stored range "
                 f"[{self.times[0]}, {self.times[-1]}]"
@@ -149,6 +150,23 @@ def _require_sigma2(sigma2) -> None:
     """ValueError unless sigma2 is finite and >= 0 (sigma2 = 0 is the noiseless ODE)."""
     if not 0 <= sigma2 < np.inf:
         raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
+
+
+def _require_ensemble_sigma2(ens: PathEnsemble, sigma2) -> None:
+    """ValueError unless sigma2 is the one the paths of ens were sampled with.
+
+    A path functional scored at another sigma2 (the Girsanov split,
+    generator_check) would read a different diffusion than the sampled one.
+    """
+    if sigma2 != ens.sigma2:
+        raise ValueError(f"sigma2 {sigma2} differs from the ensemble's {ens.sigma2}")
+
+
+def _mc_mean(samples: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of per-path samples and its standard error (ddof=1; NaN for one path)."""
+    n = samples.shape[0]
+    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return float(samples.mean()), se
 
 
 def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
@@ -240,6 +258,7 @@ def duality_check(beta, gamma, rho: DensityField, sigma2, t: float = 0.0) -> flo
     The bulk is where rho exceeds 1e-6 of its peak; the score is realized as
     the derivative of log rho, exact for Gaussian densities.
     """
+    _require_sigma2(sigma2)
     grid = rho.grid
     x = grid.points
     score = log_gradient(rho).values
@@ -284,8 +303,10 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
 
     Compares E[f(x(T)) - f(x(0))] against E of the time integral of
     (beta * f' + sigma2/2 * f''), both estimated on the same trajectories so
-    the standard error applies to the per-path difference.
+    the standard error applies to the per-path difference. sigma2 must be
+    the ensemble's own.
     """
+    _require_ensemble_sigma2(ens, sigma2)
     grid = f.grid
     fp = gradient(f).values
     fpp = laplacian(f).values
@@ -306,12 +327,11 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
     rhs_acc = path_integral(ens, generator)
     lhs_paths = (interp_uniform(grid, f.values, ens.positions[:, -1])
                  - interp_uniform(grid, f.values, ens.positions[:, 0]))
-    diff = lhs_paths - rhs_acc
-    se = float(diff.std(ddof=1) / np.sqrt(ens.n_paths)) if ens.n_paths > 1 else float("nan")
+    mean, se = _mc_mean(lhs_paths - rhs_acc)
     return GeneratorCheckResult(
         lhs=float(lhs_paths.mean()),
         rhs=float(rhs_acc.mean()),
-        discrepancy=float(abs(diff.mean())),
+        discrepancy=abs(mean),
         std_error=se,
     )
 

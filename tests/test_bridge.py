@@ -47,7 +47,7 @@ def test_trivial_bridge_prior_marginal(setup):
     assert sol.residual < 1e-10
     # potentials carry the trivial gauge: phi1 constant over the bulk
     bulk = np.abs(grid.points) <= 3.0
-    phi1 = sol.phi1.values[bulk]
+    phi1 = np.exp(sol.log_phi1)[bulk]
     assert phi1.max() / phi1.min() - 1.0 < 1e-6
 
 
@@ -71,8 +71,8 @@ def test_gaussian_problem_against_independent_linear_ipf(setup):
         if np.abs(u * (matrix @ v) - b).sum() < 1e-12:
             break
     # compare gauge-invariant observable: the terminal-side potential product
-    plan_marginal = sol.phi1.values * np.exp(
-        np.log(np.maximum(matrix @ (w * sol.phihat0.values), 1e-300))
+    plan_marginal = np.exp(sol.log_phi1) * np.exp(
+        np.log(np.maximum(matrix @ (w * np.exp(sol.log_phihat0)), 1e-300))
     ) / w
     oracle_marginal = u * (matrix @ v) / w
     assert np.max(np.abs(plan_marginal - oracle_marginal)) < 1e-8
@@ -253,7 +253,7 @@ def test_wiener_flow_and_backward_drift_fields():
     bulk = np.abs(grid.points) <= 3.0
     expected = grid.points[bulk] / 2.0  # x / (1 + t) at t = 1
     assert np.max(np.abs(gammas[-1].values[bulk] - expected)) < 1e-4
-    for bad in ([0.0, 0.0, 1.0], [1.0, 0.5, 0.0]):
+    for bad in ([0.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
         with pytest.raises(ValueError, match="strictly increasing"):
             wiener_marginal_flow(rho0, bad, 1.0)
 

@@ -210,8 +210,9 @@ def test_path_refuses_wrong_shape(model, packet):
         WavefunctionPath(times, np.stack([packet.values[:-1]] * 2), model)
     with pytest.raises(ValueError, match="shape"):
         WavefunctionPath(times, packet.values, model)
-    # 2-D, decreasing and repeated time grids
-    for bad in ([[0.0, 0.5, 1.0]], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]):
+    # 2-D, decreasing, repeated and non-finite time grids
+    for bad in ([[0.0, 0.5, 1.0]], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, np.nan, 1.0],
+                [0.0, 0.5, np.inf]):
         with pytest.raises(ValueError, match="strictly increasing"):
             WavefunctionPath(np.array(bad), np.stack([packet.values] * 3), model)
 

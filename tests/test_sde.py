@@ -27,8 +27,9 @@ from sbridge.sde import (
 
 ZERO = lambda x, t: np.zeros_like(x)
 
-#: time grids every constructor and sampler refuses: 2-D, decreasing, repeated
-BAD_TIMES = (np.array([[0.0, 0.5, 1.0]]), np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
+#: time grids every constructor and sampler refuses: 2-D, decreasing, repeated, non-finite
+BAD_TIMES = (np.array([[0.0, 0.5, 1.0]]), np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]),
+             np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5, np.inf]))
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,7 @@ def test_time_not_stored(grid):
     ens = sample_forward(ZERO, point_start(grid), 1.0, times, 10, seed=1)
     path = evolve(gaussian_packet(grid), QuantumModel.free(grid), 0.0, 1.0, 10)
     # ensembles and wavefunction paths share one stored-time rule
-    for t in (0.123, 1.0 + 2e-9):
+    for t in (0.123, 1.0 + 2e-9, np.nan):
         with pytest.raises(TimeNotStored):
             empirical_density(ens, t, grid)
         with pytest.raises(TimeNotStored):
@@ -231,8 +232,9 @@ def test_grid_drift_interpolation_and_clamping(grid):
     assert drift.clamp_fraction == 0.0
     drift(np.array([11.0]), 0.0)
     assert drift.n_clamped == 1
-    with pytest.raises(TimeNotStored):
-        drift(x, 5.0)
+    for t in (5.0, np.nan):
+        with pytest.raises(TimeNotStored):
+            drift(x, t)
 
 
 def test_grid_drift_clamp_count_and_nan(grid):
