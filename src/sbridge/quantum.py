@@ -11,10 +11,10 @@ step's tridiagonal matrix once and writes each step into one row of a
 time-major array, which a WavefunctionPath stores. The LAPACK routines of
 the factor load at the first factorization, not at import, so a program
 that never evolves a state does not load scipy.linalg. On top of the evolved
-wavefunctions sit the current/osmotic drift decomposition, the terminal
-reconditioning of a wavefunction path on a new terminal density, the
-log-ratio transport residual, the region-conditioning (collapse) operator,
-and the gradient-action diagnostic.
+wavefunctions sit Nelson's drifts of a state (the forward and backward ones
+stored, the current and osmotic ones built from them), the terminal
+reconditioning of a path on a new terminal density, the log-ratio transport
+residual, the collapse operator and the gradient-action diagnostic.
 """
 
 from __future__ import annotations
@@ -282,47 +282,46 @@ def evolve(
 
 @dataclass(frozen=True)
 class DriftDecomposition:
-    """Current (v) and osmotic (u) drifts of one state, and their node mask.
+    """Nelson's forward (beta) and backward (gamma) drifts of one state, and their node mask.
 
-    The forward/backward drifts beta = v + u and gamma = v - u are built on
-    each access, and v - i u is the complex drift. mask marks points safely
-    away from nodes; flagged points carry zeros.
+    beta = v + u and gamma = v - u are stored, read-only, and a GridDrift views
+    them without a copy; the current drift v = (beta + gamma)/2 and the osmotic
+    drift u = (beta - gamma)/2 are built on each access, and v - i u is the
+    complex drift. mask (read-only) marks points safely away from nodes;
+    flagged points carry zeros.
     """
 
-    v: ScalarField
-    u: ScalarField
+    beta: ScalarField
+    gamma: ScalarField
     mask: np.ndarray
 
     @property
-    def beta(self) -> ScalarField:
-        return ScalarField(self.v.grid, self.v.values + self.u.values)
+    def v(self) -> ScalarField:
+        return ScalarField(self.beta.grid, (self.beta.values + self.gamma.values) / 2)
 
     @property
-    def gamma(self) -> ScalarField:
-        return ScalarField(self.v.grid, self.v.values - self.u.values)
+    def u(self) -> ScalarField:
+        return ScalarField(self.beta.grid, (self.beta.values - self.gamma.values) / 2)
 
 
 def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
-    """Current/osmotic decomposition of the drift of the |psi|^2 diffusion.
+    """Forward and backward drifts beta = v + u and gamma = v - u of the |psi|^2 diffusion.
 
     u = (hbar/2m) d/dx log|psi|^2 and v = (hbar/m) Im(psi'/psi); both are
     computed from derivatives of the state itself, never from an unwrapped
     phase. Points with |psi|^2 at or below NODE_FLOOR times the peak are
-    masked out and set to zero.
+    masked out and set to zero; the stored beta, gamma and mask are read-only.
     """
     require_same_grid(psi, model)
     grid = model.grid
     rho = np.abs(psi.values) ** 2
     mask = _off_node(rho)
-    u_vals = (model.hbar / (2.0 * model.m)) * _log_gradient_values(rho, grid.h)
-
+    mask.setflags(write=False)
+    u = np.where(mask, (model.hbar / (2.0 * model.m)) * _log_gradient_values(rho, grid.h), 0.0)
     safe_psi = np.where(mask, psi.values, 1.0)
     grad_psi = _gradient_values(psi.values, grid.h)
-    v_vals = (model.hbar / model.m) * np.imag(grad_psi / safe_psi)
-
-    u = ScalarField(grid, np.where(mask, u_vals, 0.0))
-    v = ScalarField(grid, np.where(mask, v_vals, 0.0))
-    return DriftDecomposition(v=v, u=u, mask=mask)
+    v = np.where(mask, (model.hbar / model.m) * np.imag(grad_psi / safe_psi), 0.0)
+    return DriftDecomposition(ScalarField(grid, v + u), ScalarField(grid, v - u), mask)
 
 
 def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPath:

@@ -79,12 +79,13 @@ class PathEnsemble:
 class GridDrift:
     """Drift field sampled on a grid at strictly increasing stored times.
 
-    Lookup is nearest-neighbor in time (the SDE step must line up with the
-    storage grid) and linear in space by uniform-grid index arithmetic
-    (grid.interp_uniform). Positions outside the grid are clamped and
-    counted; runs exceeding the clamp budget fail validation. Callers reading
-    several tables on one grid at the same positions find the cells once
-    (grid._Cells) and read each table with _at_cell.
+    table is the tuple of the fields' read-only values, one row per stored
+    time, viewed without a copy. Lookup is nearest-neighbor in time (the SDE
+    step must line up with the storage grid) and linear in space by
+    uniform-grid index arithmetic (grid.interp_uniform). Positions outside
+    the grid are clamped and counted; runs exceeding the clamp budget fail
+    validation. Callers reading several tables on one grid at the same
+    positions find the cells once (grid._Cells) and read each with _at_cell.
     """
 
     def __init__(self, times, fields):
@@ -93,7 +94,7 @@ class GridDrift:
             raise ValueError(f"need one field per stored time, got {len(fields)} fields")
         self.grid = require_same_grid(*fields)
         self.times = times
-        self.table = np.stack([f.values for f in fields])
+        self.table = tuple(f.values for f in fields)
         # a time within one storage step beyond either end still maps to it
         self._slot_tol = np.min(np.diff(times)) if times.shape[0] > 1 else np.inf
         self.n_eval = 0

@@ -175,20 +175,38 @@ def test_evolve_warns_when_packet_reaches_wall(model, packet):
 
 
 #: SHA-256 of every stored state of evolve, then of quantum_bridge, on the
-#: trap of test_golden_trap_paths; recorded with the per-step banded solver
+#: trap of _trap_paths; recorded with the per-step banded solver
 GOLDEN_TRAP = "3441ca234f3ba6f4e7812b42238bf7c83ffaab53e661611e4509039e3bcf9b55"
 
+#: SHA-256 of the stacked beta, then gamma, of drifts over every state of each
+#: path of _trap_paths; recorded when drifts stored v and u and built beta and
+#: gamma from them, so the tables a sampler or a Girsanov split reads are the same
+GOLDEN_TRAP_DRIFTS = "a49b8f142cc2c95d54ba627e69ee208d35810fd5732e5ea5fb2b01d7dd34fa06"
 
-def test_golden_trap_paths():
+
+def _trap_paths():
     grid = Grid1D(-10.0, 10.0, 201)
     model = QuantumModel(1.0, 1.0, ScalarField(grid, grid.points**2 / 8.0), grid)
     psi0 = gaussian_packet(grid, center=-1.0, sigma0=1.0, k0=1.0)
     path = evolve(psi0, model, 0.0, 1.0, 40)
-    tilde = quantum_bridge(path, gaussian_density(grid, 0.5, 1.0))
+    return path, quantum_bridge(path, gaussian_density(grid, 0.5, 1.0))
+
+
+def test_golden_trap_paths():
     digest = hashlib.sha256()
-    for p in (path, tilde):
+    for p in _trap_paths():
         digest.update(p.psi.tobytes())
     assert digest.hexdigest() == GOLDEN_TRAP
+
+
+def test_golden_trap_drift_tables():
+    digest = hashlib.sha256()
+    for p in _trap_paths():
+        ds = [drifts(s, p.model) for s in p.states]
+        assert sum((~d.mask).sum() for d in ds) > 0  # the tails are masked
+        digest.update(np.stack([d.beta.values for d in ds]).tobytes())
+        digest.update(np.stack([d.gamma.values for d in ds]).tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAP_DRIFTS
 
 
 def test_evolve_warns_once_for_many_wall_steps(model):
@@ -322,9 +340,16 @@ def test_nelson_drift_identity(grid, model, packet):
 
 
 def test_quantum_drift_consistency(grid, model, packet):
+    # beta and gamma are stored; Nelson's v and u are their half sum and difference
     d = drifts(packet, model)
-    assert np.array_equal(d.beta.values, d.v.values + d.u.values)
-    assert np.array_equal(d.gamma.values, d.v.values - d.u.values)
+    assert np.array_equal(d.v.values, (d.beta.values + d.gamma.values) / 2)
+    assert np.array_equal(d.u.values, (d.beta.values - d.gamma.values) / 2)
+
+
+def test_drift_mask_is_read_only(model, packet):
+    mask = drifts(packet, model).mask
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
 
 
 def test_quantum_bridge_identity_case(grid, model, packet):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from sbridge.errors import (
 )
 from sbridge.families import gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField, integrate, l1_distance
-from sbridge.quantum import QuantumModel, evolve
+from sbridge.quantum import QuantumModel, drifts, evolve
 from sbridge.sde import (
     GridDrift,
     PathEnsemble,
@@ -247,6 +248,24 @@ def test_grid_drift_clamp_count_and_nan(grid):
     assert drift.n_clamped == 2 and drift.n_eval == 6
     assert np.array_equal(out[:5], [-10.0, -10.0, 3.0, 10.0, 10.0])
     assert np.isnan(out[5])
+
+
+def test_grid_drift_views_its_fields():
+    # a stacked copy of 401 rows at n = 2001 would take 6.4 MB
+    grid = Grid1D(-8.0, 8.0, 2001)
+    model = QuantumModel.free(grid)
+    decs = [drifts(gaussian_packet(grid, k0=0.01 * k), model) for k in range(401)]
+    assert np.shares_memory(decs[0].beta.values, decs[0].beta.values)  # one stored array
+    fields = [d.beta for d in decs]
+    times = np.linspace(0.0, 1.0, 401)
+    tracemalloc.start()
+    try:
+        drift = GridDrift(times, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert all(np.shares_memory(row, f.values) for row, f in zip(drift.table, fields))
 
 
 def test_grid_drift_rejects_unordered_times(grid):
