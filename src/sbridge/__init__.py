@@ -2,7 +2,9 @@
 
 Classical side: the Wiener heat kernel and its log-domain propagator, the
 Fortet/Sinkhorn solver for the two-marginal potential system, bridge
-densities and drifts, half bridges, and Girsanov path-entropy bookkeeping.
+densities and drifts, half bridges, and the relative entropy: the
+Kullback-Leibler divergence of two densities (grid) and its Girsanov split
+along an ensemble (sde), marginal divergence plus drift-mismatch integral.
 Quantum side: a norm- and reversibility-exact Schrodinger solver, Nelson
 current/osmotic drifts, the terminal reconditioning of a wavefunction path
 on a measured density, and the region-conditioning (collapse) operator.
@@ -25,12 +27,6 @@ from .bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from .entropy import (
-    EntropyReport,
-    kl_divergence,
-    path_entropy_backward,
-    path_entropy_forward,
-)
 from .families import (
     box_mode,
     box_mode_energy,
@@ -46,6 +42,7 @@ from .grid import (
     ScalarField,
     gradient,
     integrate,
+    kl_divergence,
     l1_distance,
     laplacian,
     log_gradient,
@@ -69,6 +66,7 @@ from .quantum import (
     quantum_bridge,
 )
 from .sde import (
+    EntropyReport,
     GeneratorCheckResult,
     GridDrift,
     PathEnsemble,
@@ -76,6 +74,8 @@ from .sde import (
     empirical_density,
     empirical_energy,
     generator_check,
+    path_entropy_backward,
+    path_entropy_forward,
     sample_backward,
     sample_forward,
 )

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import kl_divergence
 from .errors import (
     DegeneratePotential,
     InfiniteEntropy,
@@ -40,6 +39,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     integrate,
+    kl_divergence,
     l1_distance,
     log_gradient,
     normalize,

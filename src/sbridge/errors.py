@@ -78,7 +78,7 @@ class ExcessiveClamping(ToolkitError):
 
 
 class TruncationWarning(UserWarning):
-    """Kernel rows lose more mass to domain truncation than the stated budget."""
+    """A kernel's domain is too narrow for its width, or its grid under-resolves it."""
 
 
 class BoundaryMassWarning(UserWarning):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField, DensityField, Grid1D, ScalarField, normalize
-from .grid import require_finite_positive
+from .grid import require_count, require_finite_positive
 from .quantum import normalize_wavefunction
 
 
@@ -66,8 +66,7 @@ def gaussian_packet(
 
 def box_mode(grid: Grid1D, n_mode: int = 1) -> ComplexField:
     """n-th Dirichlet eigenstate sin(n pi (x - x_min) / L) of the domain box."""
-    if n_mode < 1:
-        raise ValueError("need n_mode >= 1")
+    require_count(n_mode, 1, "n_mode")
     x = grid.points
     length = grid.x_max - grid.x_min
     vals = np.sin(n_mode * np.pi * (x - grid.x_min) / length)

@@ -2,7 +2,8 @@
 
 Every other module builds on the types here. Fields are immutable after
 construction and carry their grid with them; mixing grids raises GridMismatch
-instead of resampling silently.
+instead of resampling silently. The L1 distance and the Kullback-Leibler
+divergence sit with the floor and stray-mass rules they read.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        require_count(self.n_points, 3, "n_points")
         require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
 
     @property
@@ -128,26 +128,41 @@ def require_finite_positive(value, what: str) -> None:
         raise ValueError(f"need finite {what} > 0, got {value}")
 
 
-def require_time_grid(times, min_len: int) -> np.ndarray:
+def require_count(n, minimum: int, what: str) -> None:
+    """Raise ValueError unless n is an integer (Python or numpy, not bool) >= minimum."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        raise ValueError(f"need an integer {what} >= {minimum}, got {n!r}")
+
+
+def require_time_grid(times, min_len: int, equal_steps: bool = False) -> np.ndarray:
     """times as a float array: 1-D, finite, strictly increasing and at least min_len long.
 
-    Anything else raises InvalidInterval, a ValueError. This is the one test
-    of a time grid: the stored times of ensembles, drift tables and
-    wavefunction paths, the samplers' grids, and the interval [s, t] of a
-    transition kernel or a half bridge, passed as two times.
+    With equal_steps, time k must also lie within _time_tol of
+    t0 + k (t1 - t0) / n. Anything else raises InvalidInterval, a ValueError.
+    This is the one test of a time grid: the stored times of ensembles, drift
+    tables and wavefunction paths, the samplers' grids, the steps that
+    quantum_bridge evolves back on, and the interval [s, t] of a transition
+    kernel or a half bridge, passed as two times.
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.shape[0] < min_len or not np.isfinite(times).all()
-            or np.any(np.diff(times) <= 0)):
-        raise InvalidInterval(f"need a 1-D finite strictly increasing grid of >= {min_len} times")
+            or np.any(np.diff(times) <= 0) or (equal_steps and np.max(np.abs(
+                times - np.linspace(times[0], times[-1], times.shape[0]))) > _time_tol(times))):
+        raise InvalidInterval(f"need a 1-D finite strictly increasing"
+                              f"{' equally spaced' if equal_steps else ''} grid of >= {min_len} times")
     return times
 
 
+def _time_tol(times: np.ndarray) -> float:
+    """The stored-time tolerance of a time grid, 1e-9 * max(span, 1)."""
+    return 1e-9 * max(times[-1] - times[0], 1.0)
+
+
 def stored_time_index(times: np.ndarray, t: float) -> int:
-    """Index of the stored time nearest t; TimeNotStored beyond 1e-9 * max(span, 1) of it."""
+    """Index of the stored time nearest t; TimeNotStored beyond _time_tol(times) of it."""
     i = int(np.argmin(np.abs(times - t)))
     # written so that a NaN t fails the match
-    if not abs(times[i] - t) <= 1e-9 * max(times[-1] - times[0], 1.0):
+    if not abs(times[i] - t) <= _time_tol(times):
         raise TimeNotStored(f"t={t} is not on the stored time grid")
     return i
 
@@ -291,3 +306,22 @@ def l1_distance(f, g) -> float:
     require_same_grid(f, g)
     return float(np.dot(f.grid.weights, np.abs(f.values - g.values)))
 
+
+def kl_divergence(p: DensityField, q: DensityField) -> float:
+    """Divergence integral of p log(p/q), with 0 log 0 = 0.
+
+    Points where p or q sits at or below DENSITY_FLOOR times its own peak
+    contribute nothing. Where q does, p may carry at most STRAY_MASS_TOL of
+    mass (grid.require_negligible_mass); more raises SupportViolation rather
+    than returning an arbitrary large number.
+    """
+    require_same_grid(p, q)
+    pv, qv = p.values, q.values
+    live = pv > DENSITY_FLOOR * pv.max()
+    q_dead = qv <= DENSITY_FLOOR * qv.max()
+    require_negligible_mass(p, live & q_dead, "p")
+    live &= ~q_dead
+    ratio = np.ones_like(pv)
+    np.divide(pv, qv, out=ratio, where=live)
+    integrand = np.where(live, pv * np.log(ratio), 0.0)
+    return float(np.dot(p.grid.weights, integrand))

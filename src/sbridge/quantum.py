@@ -38,6 +38,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     _log_gradient_values,
+    require_count,
     require_finite_positive,
     require_negligible_mass,
     require_same_grid,
@@ -254,8 +255,7 @@ def evolve(
     probability mass on the nodes next to the walls exceeds WALL_MASS_TOL
     after any step: the packet has reached a wall and reflects there.
     """
-    if n_steps < 1:
-        raise ValueError("need n_steps >= 1")
+    require_count(n_steps, 1, "n_steps")
     require_same_grid(psi, model)
     if t_to == t_from:
         return WavefunctionPath(np.array([t_from]), psi.values[None, :], model)
@@ -334,9 +334,12 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     the reference state (grid.require_negligible_mass); points where the
     reference density is not representable at all contribute zero.
     NonPositiveMass is raised, never a renormalization, when the new state
-    misses unit norm by more than NORM_TOL.
+    misses unit norm by more than NORM_TOL, and InvalidInterval when the
+    path's times are not equally spaced within the stored-time tolerance.
     """
     require_same_grid(rho1, path.model)
+    # evolve runs back on equal steps: only an equally spaced path gets its own times back
+    require_time_grid(path.times, 1, equal_steps=True)
     grid = path.model.grid
     psi1 = path.psi[-1]
     rho = np.abs(psi1) ** 2

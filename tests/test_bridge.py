@@ -16,12 +16,11 @@ from sbridge.bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from sbridge.entropy import kl_divergence, path_entropy_forward
 from sbridge.errors import NoConvergence, TimeMismatch
 from sbridge.families import gaussian_density, mixture_density
-from sbridge.grid import Grid1D, ScalarField, integrate, log_gradient, normalize
+from sbridge.grid import Grid1D, ScalarField, integrate, kl_divergence, log_gradient, normalize
 from sbridge.kernels import heat_kernel
-from sbridge.sde import GridDrift, sample_forward
+from sbridge.sde import GridDrift, path_entropy_forward, sample_forward
 
 from oracles import heat_matrix
 

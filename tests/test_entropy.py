@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from sbridge.entropy import (
-    kl_divergence,
-    path_entropy_backward,
-    path_entropy_forward,
-)
 from sbridge.errors import SupportViolation
 from sbridge.families import gaussian_density
-from sbridge.grid import DensityField, Grid1D, ScalarField, normalize
-from sbridge.sde import GridDrift, PathEnsemble, sample_backward, sample_forward
+from sbridge.grid import DensityField, Grid1D, ScalarField, kl_divergence, normalize
+from sbridge.sde import (
+    GridDrift,
+    PathEnsemble,
+    path_entropy_backward,
+    path_entropy_forward,
+    sample_backward,
+    sample_forward,
+)
 
 
 def gaussian_kl(var1, var2):

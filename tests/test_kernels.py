@@ -5,7 +5,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from scipy.special import erf
 
 from sbridge.errors import InvalidInterval, TruncationWarning
@@ -223,6 +223,28 @@ def test_log_heat_propagate_matches_brute_force(case):
     ref = brute_log_propagate(grid, log_f, v)
     out = log_heat_propagate(grid, log_f, v)
     assert np.all(np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@st.composite
+def interior_row_cases(draw):
+    n = draw(st.integers(3, 401))
+    half = draw(st.floats(1.0, 20.0))
+    grid = Grid1D(-half, half, n)
+    # variance log-uniform from 1e-3 h^2 (far under-resolved) to a 6-sigma margin of half
+    v = grid.h**2 * 10.0 ** draw(st.floats(-3.0, np.log10((half / 6.0) ** 2 / grid.h**2)))
+    return grid, v
+
+
+@given(interior_row_cases())
+def test_interior_rows_lose_no_mass(case):
+    # rows with a 6-sigma margin lose at most about 2 Phi(-6) to the domain cut,
+    # and aliasing only adds mass (Poisson summation)
+    grid, v = case
+    margin = 6.0 * np.sqrt(v)
+    interior = (grid.points >= grid.x_min + margin) & (grid.points <= grid.x_max - margin)
+    assume(interior.any())
+    sums = np.exp(log_heat_propagate(grid, np.zeros(grid.n_points), v))[interior]
+    assert sums.min() >= 1.0 - 1e-8
 
 
 def test_log_heat_propagate_underflowing_rows_are_exact():

@@ -14,11 +14,13 @@ import pytest
 import sbridge
 from sbridge.bridge import half_bridge, wiener_backward_drift_fields, wiener_marginal_flow
 from sbridge.errors import InvalidInterval
-from sbridge.families import gaussian_density
+from sbridge.families import box_mode, gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField
-from sbridge.sde import duality_check, generator_check, sample_forward
+from sbridge.quantum import QuantumModel, evolve
+from sbridge.sde import duality_check, generator_check, sample_backward, sample_forward
 
 SRC = Path(sbridge.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _code(path: Path) -> str:
@@ -93,3 +95,59 @@ def _generator_check_at_4():
 def test_sigma2_and_interval_checks_reach_every_caller(call, error):
     with pytest.raises(error):
         call()
+
+
+def _count_calls():
+    packet, free = gaussian_packet(GRID, 0.0, 1.0), QuantumModel.free(GRID)
+    five = np.linspace(0.0, 1.0, 5)
+    return {
+        "grid": lambda n: Grid1D(0.0, 1.0, n),
+        "evolve": lambda n: evolve(packet, free, 0.0, 0.1, n),
+        "box_mode": lambda n: box_mode(GRID, n),
+        "sample_forward": lambda n: sample_forward(ZERO, RHO, 1.0, five, n, seed=1),
+        "sample_backward": lambda n: sample_backward(ZERO, RHO, 1.0, five, n, seed=1),
+    }
+
+
+@pytest.mark.parametrize("owner, n", [
+    ("grid", 3.5), ("grid", 4.0), ("grid", True), ("grid", 2),
+    ("evolve", 2.5), ("evolve", 0), ("evolve", True),
+    ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True),
+    ("sample_forward", 2.5), ("sample_forward", True),
+    ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
+])
+def test_counts_are_refused_at_entry(owner, n):
+    with pytest.raises(ValueError, match="integer"):
+        _count_calls()[owner](n)
+
+
+@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward"])
+def test_numpy_integer_counts_are_counts(owner):
+    _count_calls()[owner](np.int64(4))
+
+
+def _imports(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)]
+
+
+def test_private_names_are_imported_only_from_grid():
+    # grid is the base layer; every other module keeps its private helpers to itself
+    found = {(path.name, node.module, alias.name)
+             for path in sorted(SRC.glob("*.py")) for node in _imports(path)
+             for alias in node.names if node.level == 1 and alias.name.startswith("_")}
+    assert found and {module for _, module, _ in found} == {"grid"}
+
+
+def test_the_benchmark_calls_only_exported_names():
+    called = set()
+    for path in (BENCH / "workloads.py", BENCH / "spans.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "sbridge"}
+        called |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases}
+        called |= {alias.name for node in _imports(path) if node.module == "sbridge"
+                   for alias in node.names}
+    assert called and not {name for name in called if not hasattr(sbridge, name)}

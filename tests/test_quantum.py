@@ -8,6 +8,7 @@ from hypothesis import given
 
 from sbridge.errors import (
     BoundaryMassWarning,
+    InvalidInterval,
     NonPositiveMass,
     SupportViolation,
     TerminalMismatch,
@@ -389,6 +390,18 @@ def test_quantum_bridge_refuses_terminal_mass_off_one(grid, model, packet):
     rho1 = DensityField(grid, (1.0 + 5e-7) * path.density_at(1.0).values)
     with pytest.raises(NonPositiveMass, match="terminal density has mass 1.0000005"):
         quantum_bridge(path, rho1)
+
+
+def test_quantum_bridge_refuses_unequal_time_steps(model, packet):
+    # evolve runs back on equal steps: these states would come back on [0, .25, .5, .75, 1]
+    path = WavefunctionPath([0.0, 0.1, 0.2, 0.5, 1.0], np.tile(packet.values, (5, 1)), model)
+    with pytest.raises(InvalidInterval):
+        quantum_bridge(path, path.density_at(1.0))
+    # the rounded times of evolve, forward and backward, pass
+    for t_from, t_to in [(0.1, 0.7), (0.7, 0.1)]:
+        path = evolve(packet, model, t_from, t_to, 7)
+        tilde = quantum_bridge(path, path.density_at(path.t1))
+        assert np.max(np.abs(tilde.times - path.times)) < 1e-12
 
 
 def test_quantum_bridge_support_violation(grid, model):
