@@ -43,6 +43,7 @@ from .grid import (
     l1_distance,
     log_gradient,
     normalize,
+    require_count,
     require_finite_positive,
     require_same_grid,
     require_time_grid,
@@ -138,6 +139,7 @@ def solve_schrodinger_system(
     Raises NoConvergence with the last residual when max_iter is exhausted
     and NonOverlappingSupport if the potentials degenerate.
     """
+    require_count(max_iter, 1, "max_iter")
     grid, sigma2, span = problem.kernel.grid, problem.sigma2, problem.t1 - problem.t0
     log_rho0 = np.log(problem.rho0.values)
     log_rho1 = np.log(problem.rho1.values)

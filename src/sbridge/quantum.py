@@ -6,15 +6,14 @@ convention holds throughout the module: the Hamiltonian acts on the interior
 nodes, the endpoint entries of a state pass through every step unchanged, and
 norms are trapezoid quadratures. The step therefore preserves the trapezoid
 norm exactly, a negative step is exactly inverse to a positive one, and the
-box modes of families.box_mode are exact eigenvectors. evolve factors the
-step's tridiagonal matrix once and writes each step into one row of a
-time-major array, which a WavefunctionPath stores. The LAPACK routines of
-the factor load at the first factorization, not at import, so a program
-that never evolves a state does not load scipy.linalg. On top of the evolved
-wavefunctions sit Nelson's drifts of a state (the forward and backward ones
-stored, the current and osmotic ones built from them), the terminal
-reconditioning of a path on a new terminal density, the log-ratio transport
-residual, the collapse operator and the gradient-action diagnostic.
+box modes of families.box_mode are exact eigenvectors. evolve builds the
+step's factor once, a partitioned solve from numpy alone (_cayley), and
+writes each step into one row of a time-major array, which a
+WavefunctionPath stores. On top of the evolved wavefunctions sit Nelson's
+drifts of a state (the forward and backward ones stored, the current and
+osmotic ones built from them), the terminal reconditioning of a path on a
+new terminal density, the log-ratio transport residual, the collapse
+operator and the gradient-action diagnostic.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     _log_gradient_values,
+    _time_tol,
     require_count,
     require_finite_positive,
     require_negligible_mass,
@@ -58,6 +58,10 @@ WALL_MASS_TOL = 1e-10
 
 #: largest phase of the terminal ratio tilde_psi/psi that hjb_residual accepts
 TERMINAL_PHASE_TOL = 1e-10
+
+#: unknowns per segment of the Cayley factor, each followed by a separator; up to
+#: 3267 unknowns the separators' system is under 100 x 100, which OpenBLAS inverts on one thread
+_CAYLEY_SEGMENT = 32
 
 #: rows per block where a check runs over all states or steps of a path; a
 #: block bounds the temporaries, a full (n_times, n_points) stack would not
@@ -130,25 +134,50 @@ def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
 def _cayley(model: QuantumModel, dt: float):
     """Return step(src), crank_nicolson_step of the state src with (I + theta H) factored once.
 
-    theta = i dt/(2 hbar). The walls are identity rows of the factored system
-    (the LU routines need at least 3 unknowns); they pass the endpoint
-    entries through.
+    theta = i dt/(2 hbar); the step is 2 (I + theta H)^-1 - I = (I + theta H)^-1 (I - theta H)
+    on the interior, and the walls pass the endpoint entries through. The unknowns run in
+    blocks of _CAYLEY_SEGMENT and a separator, the last one padded with identity rows. The
+    segments are inverted as a stack, their tridiagonal Schur complement on the separators
+    once; a step costs about 32 n + (n/33)^2 complex products. No inverse is singular or
+    large: a segment's matrix is normal with eigenvalues 1 + theta lambda, lambda real, and
+    the inverse of the Schur complement is a block of (I + theta H)^-1; each has norm <= 1.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
     require_finite_positive(abs(dt), "time step |dt|")
     h_diag, h_off = _dirichlet_bands(model)
     theta = 1j * dt / (2.0 * model.hbar)
-    off = np.pad(np.full(model.grid.n_points - 3, theta * h_off), 1)  # sub/superdiagonal
-    diag = np.pad(1.0 + theta * h_diag, 1, constant_values=1.0)
-    *lu, info = zgttrf(off, diag, off)
-    if info != 0:
-        raise ValueError(f"Cayley matrix is singular (LAPACK info {info})")
+    n, size = h_diag.shape[0], _CAYLEY_SEGMENT + 1
+    n_blocks = -(-n // size)
+    pad = n_blocks * size - n
+    diag = np.pad(1.0 + theta * h_diag, (0, pad), constant_values=1.0).reshape(n_blocks, size)
+    # off[j, k] couples unknown k of block j to the next one
+    off = np.pad(np.full(n - 1, theta * h_off), (0, pad + 1)).reshape(n_blocks, size)
+    i = np.arange(_CAYLEY_SEGMENT)
+    segments = np.zeros((n_blocks, _CAYLEY_SEGMENT, _CAYLEY_SEGMENT), dtype=complex)
+    segments[:, i, i] = diag[:, :-1]
+    segments[:, i[1:], i[:-1]] = segments[:, i[:-1], i[1:]] = off[:, :-2]
+    inv = np.linalg.inv(segments)
+    # separator j meets segment j through to_sep[j] and segment j + 1 through
+    # from_sep[j]; the right and left spikes are the segments' answers to them
+    to_sep, from_sep = off[:, -2], off[:-1, -1]
+    right, left = to_sep[:, None] * inv[:, :, -1], from_sep[:, None] * inv[1:, :, 0]
+    schur = np.diag(diag[:, -1] - to_sep * right[:, -1] - np.append(from_sep * left[:, 0], 0.0))
+    coupling = np.diag(to_sep[1:] * left[:, -1], 1)
+    schur_inv = np.linalg.inv(schur - coupling - coupling.T)
 
     def step(src: np.ndarray) -> np.ndarray:
-        rhs = src.copy()
-        rhs[1:-1] -= theta * _dirichlet_apply_h(model, src)
-        return zgttrs(*lu, rhs, overwrite_b=True)[0]
+        x = np.zeros((n_blocks, size), dtype=complex)
+        x.ravel()[:n] = src[1:-1]
+        seg = (inv @ x[:, :-1, None])[..., 0]
+        sep = x[:, -1] - to_sep * seg[:, -1]
+        sep[:-1] -= from_sep * seg[1:, 0]
+        # einsum calls no BLAS, whose threads wake for a product this size (ms on a busy machine)
+        sep = np.einsum("ij,j->i", schur_inv, sep)
+        seg -= right * sep[:, None]
+        seg[1:] -= left * sep[:-1, None]
+        x[:, :-1], x[:, -1] = seg, sep
+        out = src.copy()
+        out[1:-1] = 2.0 * x.ravel()[:n] - src[1:-1]
+        return out
 
     return step
 
@@ -384,7 +413,7 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     if not path.model.matches(tilde_path.model):
         raise GridMismatch("paths evolve under different models")
     if path.times.shape != tilde_path.times.shape or not np.allclose(
-        path.times, tilde_path.times, rtol=0, atol=1e-12 * max(1.0, abs(path.t1))
+        path.times, tilde_path.times, rtol=0, atol=_time_tol(path.times)
     ):
         raise ValueError("paths must share the same time grid")
     model = path.model

@@ -12,11 +12,18 @@ import numpy as np
 import pytest
 
 import sbridge
-from sbridge.bridge import half_bridge, wiener_backward_drift_fields, wiener_marginal_flow
+from sbridge.bridge import (
+    BridgeProblem,
+    half_bridge,
+    solve_schrodinger_system,
+    wiener_backward_drift_fields,
+    wiener_marginal_flow,
+)
 from sbridge.errors import InvalidInterval
 from sbridge.families import box_mode, gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField
-from sbridge.quantum import QuantumModel, evolve
+from sbridge.kernels import heat_kernel
+from sbridge.quantum import QuantumModel, WavefunctionPath, evolve, hjb_residual, quantum_bridge
 from sbridge.sde import duality_check, generator_check, sample_backward, sample_forward
 
 SRC = Path(sbridge.__file__).resolve().parent
@@ -52,7 +59,7 @@ OWNERS = [
     # the Wiener span: bridge._wiener_span (kernels.py defines and calls the engine too)
     ("log_heat_propagate(", "bridge.py", False),
     # the Cayley factor: quantum._cayley
-    ("zgttrf(", "quantum.py", True),
+    ("np.linalg.inv(segments)", "quantum.py", True),
 ]
 
 
@@ -100,12 +107,15 @@ def test_sigma2_and_interval_checks_reach_every_caller(call, error):
 def _count_calls():
     packet, free = gaussian_packet(GRID, 0.0, 1.0), QuantumModel.free(GRID)
     five = np.linspace(0.0, 1.0, 5)
+    kernel = heat_kernel(GRID, 0.0, 1.0, 1.0)
+    problem = BridgeProblem(RHO, gaussian_density(GRID, 1.0, 1.0), kernel, 1.0)
     return {
         "grid": lambda n: Grid1D(0.0, 1.0, n),
         "evolve": lambda n: evolve(packet, free, 0.0, 0.1, n),
         "box_mode": lambda n: box_mode(GRID, n),
         "sample_forward": lambda n: sample_forward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_backward": lambda n: sample_backward(ZERO, RHO, 1.0, five, n, seed=1),
+        "solve_schrodinger_system": lambda n: solve_schrodinger_system(problem, max_iter=n),
     }
 
 
@@ -115,6 +125,7 @@ def _count_calls():
     ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True),
     ("sample_forward", 2.5), ("sample_forward", True),
     ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
+    ("solve_schrodinger_system", 2.5), ("solve_schrodinger_system", True),
 ])
 def test_counts_are_refused_at_entry(owner, n):
     with pytest.raises(ValueError, match="integer"):
@@ -124,6 +135,25 @@ def test_counts_are_refused_at_entry(owner, n):
 @pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward"])
 def test_numpy_integer_counts_are_counts(owner):
     _count_calls()[owner](np.int64(4))
+
+
+def _nudged_path_pair():
+    # time 2 of 5 moved 1e-10 off equal spacing, inside the stored-time tolerance 1e-9
+    path = evolve(gaussian_packet(GRID, 0.0, 1.0), QuantumModel.free(GRID), 0.0, 0.1, 4)
+    times = path.times.copy()
+    times[2] += 1e-10
+    path = WavefunctionPath(times, path.psi, path.model)
+    return path, quantum_bridge(path, path.density_at(path.t1))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p, q: p.density_at(p.times[2] - 1e-10), id="density_at"),
+    pytest.param(lambda p, q: hjb_residual(p, q), id="hjb_residual"),
+])
+def test_stored_time_tolerance_reaches_every_caller(call):
+    # quantum_bridge returns equal steps for a path within the tolerance of
+    # them, so every reader of the pair must accept its times
+    call(*_nudged_path_pair())
 
 
 def _imports(path: Path):
@@ -151,3 +181,16 @@ def test_the_benchmark_calls_only_exported_names():
         called |= {alias.name for node in _imports(path) if node.module == "sbridge"
                    for alias in node.names}
     assert called and not {name for name in called if not hasattr(sbridge, name)}
+
+
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found |= {(path.name, name) for name in names if name.split(".")[0] == "scipy"}
+    assert not found

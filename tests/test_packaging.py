@@ -24,16 +24,18 @@ def test_console_scripts_name_importable_callables():
         assert callable(obj), f"console script {name!r} -> {target!r} is not callable"
 
 
-def test_import_leaves_scipy_linalg_to_the_first_cayley_factor():
-    # LAPACK serves only the Schrodinger step; a bridge-only program never loads it
+def test_the_nelson_pipeline_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests
     script = (
         "import sys\n"
         "import sbridge as sb\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded at import'\n"
         "g = sb.Grid1D(-8.0, 8.0, 201)\n"
-        "path = sb.evolve(sb.gaussian_packet(g, 0.0, 1.0), sb.QuantumModel.free(g), 0.0, 0.1, 4)\n"
-        "assert 'scipy.linalg' in sys.modules\n"
-        "print(abs(sb.norm_l2(path.states[-1]) - 1.0) < 1e-12)\n"
+        "model = sb.QuantumModel.free(g)\n"
+        "path = sb.evolve(sb.gaussian_packet(g, 0.0, 1.0), model, 0.0, 0.1, 4)\n"
+        "tilde = sb.quantum_bridge(path, sb.gaussian_density(g, 0.5, 1.0))\n"
+        "sb.drifts(tilde.states[0], model)\n"
+        "assert 'scipy' not in sys.modules\n"
+        "print(abs(sb.norm_l2(tilde.states[0]) - 1.0) < 1e-12)\n"
     )
     src = str(PYPROJECT.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

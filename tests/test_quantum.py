@@ -30,6 +30,7 @@ from sbridge.grid import (
     normalize,
 )
 from sbridge.quantum import (
+    _CAYLEY_SEGMENT,
     WALL_MASS_TOL,
     QuantumModel,
     WavefunctionPath,
@@ -96,6 +97,28 @@ def test_step_matches_dense_cayley_oracle(grid, dt):
     psi = gaussian_packet(grid, center=-1.0, sigma0=0.6, k0=2.0)
     out = crank_nicolson_step(psi, model, dt)
     ref = cayley_step(psi.values, model.hbar, model.m, model.potential.values, grid.h, dt)
+    assert np.max(np.abs(out.values - ref)) < 1e-12
+
+
+#: unknowns per block of the Cayley factor: a segment and its separator
+BLOCK = _CAYLEY_SEGMENT + 1
+
+
+@pytest.mark.parametrize("n_inner", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                     2 * BLOCK + 1])
+def test_step_on_every_block_layout(n_inner):
+    # one unknown, a padded block, whole blocks, and one unknown past them
+    grid = Grid1D(-2.0, 2.0, n_inner + 2)
+    rng = np.random.default_rng(n_inner)
+    model = QuantumModel(1.3, 0.7, ScalarField(grid, 5.0 * rng.random(grid.n_points)), grid)
+    psi = normalize_wavefunction(
+        ComplexField(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points))
+    )
+    out = crank_nicolson_step(psi, model, 1e-2)
+    assert abs(norm_l2(out) - 1.0) < 1e-12
+    back = crank_nicolson_step(out, model, -1e-2)
+    assert np.max(np.abs(back.values - psi.values)) < 1e-12
+    ref = cayley_step(psi.values, model.hbar, model.m, model.potential.values, grid.h, 1e-2)
     assert np.max(np.abs(out.values - ref)) < 1e-12
 
 
@@ -176,13 +199,14 @@ def test_evolve_warns_when_packet_reaches_wall(model, packet):
 
 
 #: SHA-256 of every stored state of evolve, then of quantum_bridge, on the
-#: trap of _trap_paths; recorded with the per-step banded solver
-GOLDEN_TRAP = "3441ca234f3ba6f4e7812b42238bf7c83ffaab53e661611e4509039e3bcf9b55"
+#: trap of _trap_paths; recorded with the partitioned block solve of the
+#: Cayley step (numpy 2.4, OpenBLAS 0.3.31), whose rounding a different BLAS
+#: kernel may not reproduce bit for bit
+GOLDEN_TRAP = "e47f24fb2dfbe586dfedfdc02794eba31cef9a6029e991be99b6e962fb470677"
 
 #: SHA-256 of the stacked beta, then gamma, of drifts over every state of each
-#: path of _trap_paths; recorded when drifts stored v and u and built beta and
-#: gamma from them, so the tables a sampler or a Girsanov split reads are the same
-GOLDEN_TRAP_DRIFTS = "a49b8f142cc2c95d54ba627e69ee208d35810fd5732e5ea5fb2b01d7dd34fa06"
+#: path of _trap_paths, recorded with the same solver as GOLDEN_TRAP
+GOLDEN_TRAP_DRIFTS = "4b63c64ec7d229f23d047f88a3d1f48a7b43fed4d5d5a325b14d67de1bf9800a"
 
 
 def _trap_paths():
@@ -208,6 +232,16 @@ def test_golden_trap_drift_tables():
         digest.update(np.stack([d.beta.values for d in ds]).tobytes())
         digest.update(np.stack([d.gamma.values for d in ds]).tobytes())
     assert digest.hexdigest() == GOLDEN_TRAP_DRIFTS
+
+
+def test_trap_paths_follow_the_dense_cayley_oracle():
+    # evolve runs forward, quantum_bridge backward, 40 steps each
+    for path, dt in zip(_trap_paths(), (1.0 / 40, -1.0 / 40)):
+        rows = path.psi if dt > 0 else path.psi[::-1]
+        model, ref = path.model, rows[0]
+        for row in rows[1:]:
+            ref = cayley_step(ref, model.hbar, model.m, model.potential.values, model.grid.h, dt)
+            assert np.max(np.abs(row - ref)) < 1e-12
 
 
 def test_evolve_warns_once_for_many_wall_steps(model):
