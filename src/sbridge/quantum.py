@@ -191,6 +191,11 @@ def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> Co
     step is exactly unitary in the trapezoid norm of norm_l2, step(-dt)
     inverts step(+dt) exactly on every entry, and box_mode is an exact
     eigenvector. This is the one-step case of evolve.
+
+    Each call builds the whole block factor of (I + i dt/(2 hbar) H) for its
+    one step: at n = 2001 the factor takes 50 to 60 times as long as the
+    step it serves (about 5 ms against 80 to 110 us on 2 x86 vCPUs). To take
+    many steps of one (model, dt), call evolve, which builds the factor once.
     """
     require_same_grid(psi, model)
     return ComplexField(model.grid, _cayley(model, dt)(psi.values))

@@ -1,13 +1,13 @@
 """Forward and reverse-time Euler-Maruyama simulation and path functionals.
 
-Trajectories are generated from counter-based substreams (Philox keyed by the
-master seed, one jump per path block) so ensembles are bit-reproducible and
-blocks could run concurrently without changing the output. Among the path
-functionals is the Girsanov split of the path entropy of one diffusion law
-with respect to another: a marginal divergence (grid.kl_divergence) plus a
-quadratic drift-mismatch integral, taken at either end of the time interval
-(forward drifts + initial marginals, or backward drifts + terminal
-marginals); both totals must agree.
+Trajectories are generated from one random stream per path block (SFC64
+keyed by the master seed and the block index through a SeedSequence), so
+ensembles are bit-reproducible and blocks could run concurrently without
+changing the output. Among the path functionals is the Girsanov split of the
+path entropy of one diffusion law with respect to another: a marginal
+divergence (grid.kl_divergence) plus a quadratic drift-mismatch integral,
+taken at either end of the time interval (forward drifts + initial
+marginals, or backward drifts + terminal marginals); both totals must agree.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ def _read(drift, cells, x, t, out) -> np.ndarray:
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    # jumped() advances the Philox counter by 2^128 per block: disjoint streams
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block_index + 1))
+    # SeedSequence hashes the entropy list (seed, block) into the SFC64 state, so
+    # each block has its own stream and its paths depend on nothing else
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block_index])))
 
 
 def _initial_positions(rho, u: np.ndarray) -> np.ndarray:
@@ -179,6 +180,7 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
     if n_paths < 1:
         raise EmptyEnsemble("need n_paths >= 1")
     require_count(n_paths, 1, "n_paths")
+    require_count(seed, 0, "seed")
     _require_sigma2(sigma2)
     sigma = np.sqrt(sigma2)
     n_times = times.shape[0]
@@ -230,7 +232,10 @@ def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> Pa
     """Euler-Maruyama: x_{k+1} = x_k + beta(x_k, t_k) dt + sigma sqrt(dt) z_k.
 
     Initial positions are drawn from rho0 by inverting its trapezoid CDF.
-    Identical arguments and seed give a bit-identical ensemble.
+    seed is an integer >= 0. Paths are drawn in blocks of BLOCK_SIZE, and the
+    random numbers of block b depend only on seed and b: identical arguments
+    give a bit-identical ensemble, and a full block's paths do not change
+    with n_paths.
     """
     return _simulate(beta, rho0, sigma2, times, n_paths, seed, backward=False)
 
@@ -240,7 +245,8 @@ def sample_backward(gamma, rho1: DensityField, sigma2, times, n_paths, seed) -> 
 
     Steps x_k = x_{k+1} - gamma(x_{k+1}, t_{k+1}) dt + sigma sqrt(dt) z_k from
     the last time down to the first; positions are stored in increasing-time
-    order with direction tag "backward".
+    order with direction tag "backward". The seed and the blocks of paths are
+    those of sample_forward: block b's random numbers depend only on seed and b.
     """
     return _simulate(gamma, rho1, sigma2, times, n_paths, seed, backward=True)
 

@@ -115,6 +115,8 @@ def _count_calls():
         "box_mode": lambda n: box_mode(GRID, n),
         "sample_forward": lambda n: sample_forward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_backward": lambda n: sample_backward(ZERO, RHO, 1.0, five, n, seed=1),
+        "sample_forward seed": lambda s: sample_forward(ZERO, RHO, 1.0, five, 4, seed=s),
+        "sample_backward seed": lambda s: sample_backward(ZERO, RHO, 1.0, five, 4, seed=s),
         "solve_schrodinger_system": lambda n: solve_schrodinger_system(problem, max_iter=n),
     }
 
@@ -125,6 +127,9 @@ def _count_calls():
     ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True),
     ("sample_forward", 2.5), ("sample_forward", True),
     ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
+    ("sample_forward seed", None), ("sample_forward seed", 2.5),
+    ("sample_forward seed", True), ("sample_forward seed", -1),
+    ("sample_backward seed", None), ("sample_backward seed", -1),
     ("solve_schrodinger_system", 2.5), ("solve_schrodinger_system", True),
 ])
 def test_counts_are_refused_at_entry(owner, n):
@@ -132,7 +137,8 @@ def test_counts_are_refused_at_entry(owner, n):
         _count_calls()[owner](n)
 
 
-@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward"])
+@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward",
+                                   "sample_forward seed"])
 def test_numpy_integer_counts_are_counts(owner):
     _count_calls()[owner](np.int64(4))
 

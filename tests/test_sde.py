@@ -15,6 +15,7 @@ from sbridge.families import gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField, integrate, l1_distance
 from sbridge.quantum import QuantumModel, drifts, evolve
 from sbridge.sde import (
+    BLOCK_SIZE,
     GridDrift,
     PathEnsemble,
     duality_check,
@@ -42,13 +43,13 @@ def point_start(grid, eps=1e-6):
     return gaussian_density(grid, 0.0, eps)
 
 
-#: SHA-256 of positions.tobytes() for 20000 paths (two Philox blocks) x 21
-#: times, seed 2024; recorded while ensembles were still stored path-major
+#: SHA-256 of positions.tobytes() (path-major bytes) for 20000 paths x 21
+#: times, seed 2024: two blocks, a full one of BLOCK_SIZE paths and one of 3616
 GOLDEN = {
-    ("zero", "forward"): "f469fdbe1f6a24a4a6d71b5b1b4a53ff95c011e1500a181d3354cfb1c57689e0",
-    ("zero", "backward"): "296154f01ce36700a032447704a1a2f77bb7d471ee014b8e14a998bd5216057f",
-    ("ou", "forward"): "ef97dd9f4121388b7d953f95421d994e821362fb824c53cc9afd56b7d1400c1a",
-    ("ou", "backward"): "a8f469debfee46b974749aa22ea4f51b1ff9fc43582ec927f0a475af5a2bee14",
+    ("zero", "forward"): "02ddf34d457a0e6bdb9f4d4055761b08bfc99789cbef8a7fb3bdc7123c1ca582",
+    ("zero", "backward"): "b80aeb82dec2986e3017c0903636ff2b2de2bcdad5b7908b3f5aa85c1c4af637",
+    ("ou", "forward"): "9f85d8b77599499b818800c270d1baf41ddee16023abf6d9a056b670a9e6d535",
+    ("ou", "backward"): "61fa248bbd9bfe623215f2736cd1a5e69453e87d99d1234b8632789794dcbc18",
 }
 
 
@@ -73,6 +74,24 @@ def test_seed_determinism(grid):
     assert np.array_equal(a.positions, b.positions)
     c = sample_forward(ZERO, rho0, 1.0, times, 3000, seed=43)
     assert not np.array_equal(a.positions, c.positions)
+
+
+@pytest.mark.parametrize("sample", [sample_forward, sample_backward])
+def test_each_block_has_its_own_stream(grid, sample):
+    # block b's paths depend only on (seed, b): a full block does not change
+    # with n_paths, and another seed or block index gives another stream
+    rho, times, ou = gaussian_density(grid, 0.0, 0.5), np.linspace(0.0, 1.0, 5), lambda x, t: -x
+    full = sample(ou, rho, 1.0, times, BLOCK_SIZE, seed=5).positions
+    more = sample(ou, rho, 1.0, times, BLOCK_SIZE + 7, seed=5).positions
+    other = sample(ou, rho, 1.0, times, BLOCK_SIZE + 7, seed=6).positions
+    assert np.array_equal(more[:BLOCK_SIZE], full)
+    for block in (slice(0, BLOCK_SIZE), slice(BLOCK_SIZE, None)):
+        assert not np.array_equal(other[block], more[block])
+    # the second block's first draws, its start positions, are neither those
+    # of the first block of its seed nor those of the next seed
+    start = 0 if sample is sample_forward else -1
+    assert not np.array_equal(more[BLOCK_SIZE:, start], more[:7, start])
+    assert not np.array_equal(more[BLOCK_SIZE:, start], other[:7, start])
 
 
 def test_brownian_variance_growth(grid):
