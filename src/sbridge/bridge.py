@@ -21,18 +21,11 @@ when the step is under-resolved (sqrt(sigma2 dt) < h).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegeneratePotential,
-    InfiniteEntropy,
-    MassDefectWarning,
-    NoConvergence,
-    NonOverlappingSupport,
-    TimeMismatch,
-)
+from .errors import MassDefectWarning, NoConvergence, TimeMismatch
 from .grid import (
     DENSITY_FLOOR,
     DensityField,
@@ -61,11 +54,15 @@ def _wiener_span(grid, log_f: np.ndarray, sigma2: float, span: float) -> np.ndar
 def floor_density(rho: DensityField) -> DensityField:
     """Floor a density at DENSITY_FLOOR times its peak and renormalize.
 
-    The solver assumes everywhere-positive marginals; the floor enforces that
-    premise explicitly instead of failing on exact zeros.
+    The solver assumes everywhere-positive marginals, with finite logs; the
+    floor enforces that premise, and refuses with ValueError a density whose
+    floor underflows to 0 (a peak below about 1e-293: domains over 1e293 wide).
     """
-    floored = np.maximum(rho.values, DENSITY_FLOOR * rho.values.max())
-    return normalize(ScalarField(rho.grid, floored))
+    peak = rho.values.max()
+    floored = normalize(ScalarField(rho.grid, np.maximum(rho.values, DENSITY_FLOOR * peak)))
+    if not floored.values.min() > 0:
+        raise ValueError(f"the floor of a density of peak {peak:.3g} underflows to 0")
+    return floored
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,8 @@ class BridgeSolution:
     """Potential pair solving the coupled marginal system, stored as logs.
 
     log_phi1 is log phi(., t1), log_phihat0 is log phihat(., t0); the other
-    two boundary potentials are reconstructed by kernel propagation.
+    two boundary potentials are reconstructed by kernel propagation. Both
+    must hold one finite value per grid point (ValueError otherwise).
     """
 
     problem: BridgeProblem
@@ -117,6 +115,12 @@ class BridgeSolution:
     iterations: int
     residual: float
     residual_history: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        n = self.problem.kernel.grid.n_points
+        for name, values in (("log_phi1", self.log_phi1), ("log_phihat0", self.log_phihat0)):
+            if np.shape(values) != (n,) or not np.isfinite(values).all():
+                raise ValueError(f"{name} must hold {n} finite values")
 
     def marginal_residuals(self) -> tuple[float, float]:
         """L1 defects of phi*phihat against rho0 and rho1 at the endpoints."""
@@ -136,8 +140,9 @@ def solve_schrodinger_system(
     gauge is fixed so the two log-potentials at t1 have equal quadrature
     means, making outputs reproducible; all observables are gauge-free.
 
-    Raises NoConvergence with the last residual when max_iter is exhausted
-    and NonOverlappingSupport if the potentials degenerate.
+    The potentials stay finite: the floored marginals have finite logs, and
+    log_heat_propagate keeps finite logs finite. Raises NoConvergence with
+    the last residual when max_iter is exhausted.
     """
     require_count(max_iter, 1, "max_iter")
     grid, sigma2, span = problem.kernel.grid, problem.sigma2, problem.t1 - problem.t0
@@ -158,11 +163,6 @@ def solve_schrodinger_system(
         log_phi1 = log_rho1 - log_phihat1
         log_phi0 = _wiener_span(grid, log_phi1, sigma2, span)
         log_phihat0 = log_rho0 - log_phi0
-        if not (np.all(np.isfinite(log_phi1)) and np.all(np.isfinite(log_phihat0))):
-            raise NonOverlappingSupport(
-                "potentials degenerated; marginal supports are incompatible "
-                "with the reference kernel"
-            )
     else:
         raise NoConvergence(max_iter, residual)
 
@@ -220,13 +220,12 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
 def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
     """Forward drift of the bridge at time t: sigma2 * grad log phi(., t).
 
-    t must lie in [t0, t1]; log phi1 is propagated directly over [t, t1].
+    t must lie in [t0, t1]; the finite log phi1 is propagated directly over
+    [t, t1], so log phi stays finite and only an overflowing gradient fails.
     """
     p = sol.problem
     grid = p.kernel.grid
     log_phi = _wiener_span(grid, sol.log_phi1, p.sigma2, p.t1 - _check_partition(sol, t))
-    if not np.all(np.isfinite(log_phi)):
-        raise DegeneratePotential(f"phi(., {t}) underflowed")
     return ScalarField(grid, p.sigma2 * _gradient_values(log_phi, grid.h))
 
 
@@ -260,16 +259,12 @@ def half_bridge(
     The entropy-optimal update keeps the reference backward drift and swaps
     in rho1 at t1; the optimal value is the static divergence of rho1 from
     the reference terminal marginal. The result feeds sde.sample_backward.
-    t0 < t1 must both be finite and sigma2 finite and positive.
+    t0 < t1 must both be finite and sigma2 finite and positive; kl_divergence
+    raises SupportViolation or InfiniteEntropy for a value it cannot give.
     """
     require_time_grid((t0, t1), 2)
     require_finite_positive(sigma2, "sigma2")
-    require_same_grid(prior_marginal_t1, rho1)
     value = kl_divergence(rho1, prior_marginal_t1)
-    if not np.isfinite(value):
-        raise InfiniteEntropy(
-            f"divergence of the observed terminal density is {value!r}"
-        )
     return HalfBridgeModel(
         backward_drift=prior_backward_drift,
         rho1=rho1,
@@ -288,20 +283,8 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
     pair solves the reversed problem at the same residual.
     """
     p = sol.problem
-    reversed_problem = BridgeProblem(
-        rho0=p.rho1,
-        rho1=p.rho0,
-        kernel=p.kernel,
-        sigma2=p.sigma2,
-    )
-    return BridgeSolution(
-        problem=reversed_problem,
-        log_phi1=sol.log_phihat0.copy(),
-        log_phihat0=sol.log_phi1.copy(),
-        iterations=sol.iterations,
-        residual=sol.residual,
-        residual_history=sol.residual_history,
-    )
+    return replace(sol, problem=BridgeProblem(p.rho1, p.rho0, p.kernel, p.sigma2),
+                   log_phi1=sol.log_phihat0.copy(), log_phihat0=sol.log_phi1.copy())
 
 
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:

@@ -37,16 +37,12 @@ class NoConvergence(ToolkitError):
         )
 
 
-class NonOverlappingSupport(ToolkitError):
-    """Marginal supports are incompatible with the reference kernel."""
-
-
-class DegeneratePotential(ToolkitError):
-    """A bridge potential underflowed where it was needed."""
-
-
 class InfiniteEntropy(ToolkitError):
-    """A relative-entropy value diverged numerically."""
+    """grid.kl_divergence overflowed, for half_bridge and the Girsanov split too.
+
+    Its floor bounds log(p/q) by about 70 + log(2n), so only p near 1e306 (a
+    grid spacing of about 1e-306 or less) makes p log(p/q) overflow.
+    """
 
 
 class SupportViolation(ToolkitError):

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInterval, NonPositiveMass, SupportViolation, TimeNotStored
+from .errors import (GridMismatch, InfiniteEntropy, InvalidInterval, NonPositiveMass,
+                     SupportViolation, TimeNotStored)
 
 #: largest quadrature mass a unit-mass density may carry where a reference
 #: vanishes and still count as supported by it
@@ -313,7 +314,8 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
     Points where p or q sits at or below DENSITY_FLOOR times its own peak
     contribute nothing. Where q does, p may carry at most STRAY_MASS_TOL of
     mass (grid.require_negligible_mass); more raises SupportViolation rather
-    than returning an arbitrary large number.
+    than returning an arbitrary large number. A value that overflows, which
+    needs a grid spacing of about 1e-306 or less, raises InfiniteEntropy.
     """
     require_same_grid(p, q)
     pv, qv = p.values, q.values
@@ -324,4 +326,7 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
     ratio = np.ones_like(pv)
     np.divide(pv, qv, out=ratio, where=live)
     integrand = np.where(live, pv * np.log(ratio), 0.0)
-    return float(np.dot(p.grid.weights, integrand))
+    value = float(np.dot(p.grid.weights, integrand))
+    if not np.isfinite(value):
+        raise InfiniteEntropy(f"divergence is {value!r}: p log(p/q) overflowed")
+    return value

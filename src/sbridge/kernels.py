@@ -38,6 +38,16 @@ TRUNCATION_BUDGET = 1e-4
 #: from underflow, so rows at or above tiny / eps are exact to n * eps**2.
 _LINEAR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
+#: largest variance whose Gaussian normaliser 2 pi variance is finite (about 2.86e307)
+_MAX_VARIANCE = np.finfo(float).max / (2.0 * np.pi)
+
+
+def _require_variance(variance) -> None:
+    """Raise ValueError unless variance is finite, > 0 and at most _MAX_VARIANCE."""
+    require_finite_positive(variance, "variance")
+    if variance > _MAX_VARIANCE:
+        raise ValueError(f"variance {variance} overflows the Gaussian normaliser")
+
 
 @dataclass(frozen=True)
 class TransitionKernel:
@@ -54,7 +64,7 @@ class TransitionKernel:
 
     def __post_init__(self):
         require_time_grid((self.s, self.t), 2)
-        require_finite_positive(self.variance, "variance")
+        _require_variance(self.variance)
 
 
 def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKernel:
@@ -82,9 +92,10 @@ def log_heat_propagate(grid: Grid1D, log_f, variance: float) -> np.ndarray:
     One direct convolution of exp(log_f + log w - max) with the kernel's
     2n - 1 samples; rows whose linear sum underflows below _LINEAR_FLOOR are
     recomputed by a max-shifted log-sum-exp against the analytic log profile.
-    All -inf input gives all -inf output.
+    Finite input gives finite output, all -inf input all -inf output. A
+    variance above _MAX_VARIANCE, where the normaliser overflows, raises ValueError.
     """
-    require_finite_positive(variance, "variance")
+    _require_variance(variance)
     n = grid.n_points
     a = np.asarray(log_f, dtype=float) + np.log(grid.weights)
     if a.shape != (n,):

@@ -1,7 +1,10 @@
+import dataclasses
+
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from sbridge.bridge import (
     BridgeProblem,
@@ -16,10 +19,10 @@ from sbridge.bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from sbridge.errors import NoConvergence, TimeMismatch
-from sbridge.families import gaussian_density, mixture_density
+from sbridge.errors import NoConvergence, TimeMismatch, TruncationWarning
+from sbridge.families import gaussian_density, indicator_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, kl_divergence, log_gradient, normalize
-from sbridge.kernels import heat_kernel
+from sbridge.kernels import TransitionKernel, heat_kernel
 from sbridge.sde import GridDrift, path_entropy_forward, sample_forward
 
 from oracles import heat_matrix
@@ -308,8 +311,10 @@ def test_problem_rejects_kernel_of_other_variance(setup):
     grid, kernel, problem, _ = setup
     with pytest.raises(ValueError):
         BridgeProblem(problem.rho0, problem.rho1, kernel, 0.5)
+    with pytest.warns(TruncationWarning):
+        wide = heat_kernel(grid, 0.0, 1.0, 2.0)
     with pytest.raises(ValueError):
-        BridgeProblem(problem.rho0, problem.rho1, heat_kernel(grid, 0.0, 1.0, 2.0), 1.0)
+        BridgeProblem(problem.rho0, problem.rho1, wide, 1.0)
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             BridgeProblem(problem.rho0, problem.rho1, kernel, bad)
@@ -355,3 +360,59 @@ def test_bridge_marginals_and_reversal_over_gaussian_mixtures(sigma2, a, b):
         d_rev = bridge_density(reversed_sol, t)
         d_fresh = bridge_density(fresh, t)
         assert np.max(np.abs(d_rev.values - d_fresh.values)) < 1e-8
+
+
+@st.composite
+def scaled_problems(draw):
+    # a domain [-L, L] of any scale, sigma2 a random multiple of L^2, and
+    # marginals of random values with exact zeros, so the floor is exercised
+    n = draw(st.integers(5, 40))
+    half = 10.0 ** draw(st.floats(-150.0, 150.0))
+    grid = Grid1D(-half, half, n)
+    sigma2 = half**2 * 10.0 ** draw(st.floats(-1.5, 0.5))
+    marginals = []
+    for _ in range(2):
+        values = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+        values[draw(st.integers(0, n - 1))] = 1.0
+        marginals.append(normalize(ScalarField(grid, values)))
+    return BridgeProblem(*marginals, TransitionKernel(grid, 0.0, 1.0, sigma2), sigma2)
+
+
+@given(scaled_problems())
+def test_solver_potentials_and_drifts_are_finite(problem):
+    # floored marginals have finite logs and propagation keeps logs finite,
+    # so no potential of the solver and no drift can degenerate
+    try:
+        sol = solve_schrodinger_system(problem, max_iter=300)
+    except NoConvergence:
+        assume(False)
+    assert np.all(np.isfinite(sol.log_phi1)) and np.all(np.isfinite(sol.log_phihat0))
+    for t in (0.0, 0.5, 1.0):
+        assert np.all(np.isfinite(bridge_drift(sol, t).values))
+
+
+def test_floor_that_underflows_is_refused():
+    # on a domain 2e300 wide a unit-mass density peaks near 1e-300, so
+    # DENSITY_FLOOR times its peak underflows to 0, whose log is -inf
+    grid = Grid1D(-1e300, 1e300, 21)
+    rho = indicator_density(grid, -2e299, 2e299)
+    with pytest.raises(ValueError, match="underflows"):
+        floor_density(rho)
+
+
+@pytest.mark.parametrize("name, values", [
+    pytest.param("log_phi1", lambda v: np.append(v[:-1], -np.inf), id="minus-inf-phi1"),
+    pytest.param("log_phihat0", lambda v: np.append(np.nan, v[1:]), id="nan-phihat0"),
+    pytest.param("log_phi1", lambda v: v[:-1], id="short-phi1"),
+    pytest.param("log_phihat0", lambda v: np.stack([v, v]), id="2d-phihat0"),
+])
+def test_solution_refuses_non_finite_or_misshapen_potentials(setup, name, values):
+    _, _, _, sol = setup
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(sol, **{name: values(getattr(sol, name))})
+
+
+def test_wiener_flow_refuses_a_variance_whose_normaliser_overflows(setup):
+    grid = setup[0]
+    with pytest.raises(ValueError, match="normaliser"):
+        wiener_marginal_flow(gaussian_density(grid, 0.0, 1.0), [0.0, 1.0], 1e308)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from sbridge.errors import SupportViolation
+from sbridge.bridge import half_bridge
+from sbridge.errors import InfiniteEntropy, SupportViolation
 from sbridge.families import gaussian_density
 from sbridge.grid import DensityField, Grid1D, ScalarField, kl_divergence, normalize
 from sbridge.sde import (
@@ -240,3 +241,37 @@ def test_report_serialization(grid):
     assert set(blob) == {"static_term", "kinetic_term", "total", "direction", "mc_std_error"}
     assert blob["direction"] == "forward"
     assert blob["total"] == blob["static_term"] + blob["kinetic_term"]
+
+
+def _zero(x, t):
+    return np.zeros_like(x)
+
+
+def _overflowing_pair():
+    """A point mass against a spread density on a 5-point grid of spacing 2.5e-307.
+
+    The point mass reads 8e306 at the wall, where log(p/q) = 48: p log(p/q)
+    overflows although both densities clear the floor there.
+    """
+    tiny = Grid1D(0.0, 1e-306, 5)
+    point = normalize(ScalarField(tiny, [1.0, 0.0, 0.0, 0.0, 0.0]))
+    spread = normalize(ScalarField(tiny, np.exp(-12.0 * np.arange(5.0))[::-1]))
+    return point, spread
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p, q, fwd, bwd: kl_divergence(p, q), id="kl_divergence"),
+    pytest.param(lambda p, q, fwd, bwd: path_entropy_forward(p, q, _zero, _zero, fwd, 1.0),
+                 id="path_entropy_forward"),
+    pytest.param(lambda p, q, fwd, bwd: path_entropy_backward(p, q, _zero, _zero, bwd, 1.0),
+                 id="path_entropy_backward"),
+    pytest.param(lambda p, q, fwd, bwd: half_bridge(q, _zero, p, 0.0, 1.0, 1.0), id="half_bridge"),
+])
+def test_overflowing_divergence_raises_infinite_entropy(call):
+    point, spread = _overflowing_pair()
+    times = np.linspace(0.0, 1.0, 3)
+    fwd = sample_forward(_zero, point, 1.0, times, 10, seed=1)
+    bwd = sample_backward(_zero, point, 1.0, times, 10, seed=1)
+    # the overflow itself is a numpy warning, which tier-1 turns into an error
+    with np.errstate(over="ignore"), pytest.raises(InfiniteEntropy):
+        call(point, spread, fwd, bwd)

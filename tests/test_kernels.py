@@ -5,12 +5,12 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from scipy.special import erf
 
 from sbridge.errors import InvalidInterval, TruncationWarning
 from sbridge.grid import Grid1D, ScalarField, inner, integrate, normalize
-from sbridge.kernels import TransitionKernel, heat_kernel, log_heat_propagate
+from sbridge.kernels import _MAX_VARIANCE, TransitionKernel, heat_kernel, log_heat_propagate
 
 from oracles import heat_matrix
 
@@ -272,3 +272,38 @@ def test_log_heat_propagate_rejects_bad_input(grid):
         log_heat_propagate(grid, np.zeros(grid.n_points - 1), 1.0)
     with pytest.raises(ValueError):
         log_heat_propagate(grid, np.full(grid.n_points, np.nan), 1.0)
+
+
+@st.composite
+def finite_propagation_cases(draw):
+    n = draw(st.integers(3, 40))
+    half = 10.0 ** draw(st.floats(-300.0, 150.0))
+    # variance log-uniform over the whole accepted range, subnormal to _MAX_VARIANCE
+    v = min(10.0 ** draw(st.floats(-323.0, np.log10(_MAX_VARIANCE))), _MAX_VARIANCE)
+    log_f = draw(hnp.arrays(float, n, elements=st.floats(-1e300, 1e300)))
+    return Grid1D(-half, half, n), log_f, v
+
+
+@example((Grid1D(-1e150, 1e150, 40), np.linspace(-1e300, 1e300, 40), 5e-324))
+@example((Grid1D(-1e-300, 1e-300, 3), np.array([1e300, -1e300, 0.0]), _MAX_VARIANCE))
+@given(finite_propagation_cases())
+def test_log_heat_propagate_keeps_finite_logs_finite(case):
+    # the fact that keeps the bridge potentials finite at every solver step.
+    # Offsets far beyond the kernel width overflow -d^2 / (2 v) to -inf, an
+    # exact zero weight; the diagonal weight 1 keeps every row's sum positive
+    grid, log_f, v = case
+    with np.errstate(over="ignore"):
+        out = log_heat_propagate(grid, log_f, v)
+    assert np.all(np.isfinite(out))
+
+
+def test_variance_whose_normaliser_overflows_is_refused(grid):
+    # 2 pi v overflows above _MAX_VARIANCE, and -0.5 log(2 pi v) would be -inf
+    zeros = np.zeros(grid.n_points)
+    assert np.all(np.isfinite(log_heat_propagate(grid, zeros, _MAX_VARIANCE)))
+    with pytest.raises(ValueError, match="normaliser"):
+        log_heat_propagate(grid, zeros, np.nextafter(_MAX_VARIANCE, np.inf))
+    with pytest.raises(ValueError, match="normaliser"):
+        heat_kernel(grid, 0.0, 1.0, 1e308)
+    with pytest.raises(ValueError, match="normaliser"):
+        TransitionKernel(grid, 0.0, 1.0, 1e308)

@@ -60,6 +60,8 @@ OWNERS = [
     ("log_heat_propagate(", "bridge.py", False),
     # the Cayley factor: quantum._cayley
     ("np.linalg.inv(segments)", "quantum.py", True),
+    # a divergence that overflows: grid.kl_divergence, for half_bridge and the Girsanov split
+    ("raise InfiniteEntropy", "grid.py", True),
 ]
 
 
@@ -187,6 +189,27 @@ def test_the_benchmark_calls_only_exported_names():
         called |= {alias.name for node in _imports(path) if node.module == "sbridge"
                    for alias in node.names}
     assert called and not {name for name in called if not hasattr(sbridge, name)}
+
+
+def _raised_or_warned(path: Path) -> set:
+    """Names a module raises (bare or called) or passes to warnings.warn."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(getattr(getattr(node.exc, "func", node.exc), "id", None))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "warn" and getattr(node.func.value, "id", None) == "warnings"):
+            args = node.args + [keyword.value for keyword in node.keywords]
+            names |= {getattr(arg, "id", None) for arg in args}
+    return names
+
+
+def test_every_error_class_has_a_raise_site():
+    # a class cannot outlive the last code that raises or warns it
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)} - {"ToolkitError"}
+    used = set().union(*(_raised_or_warned(path) for path in sorted(SRC.glob("*.py"))))
+    assert classes and not classes - used
 
 
 def test_no_module_imports_scipy():

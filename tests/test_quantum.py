@@ -169,7 +169,9 @@ def test_free_packet_width_law(grid, model, packet):
 def test_box_mode_picks_up_pure_phase(grid):
     model = QuantumModel.free(grid)
     psi0 = box_mode(grid, n_mode=3)
-    path = evolve(psi0, model, 0.0, 1.0, 200)
+    # the sine mode fills the box, so mass sits next to the walls
+    with pytest.warns(BoundaryMassWarning):
+        path = evolve(psi0, model, 0.0, 1.0, 200)
     e3 = box_mode_energy(grid, 3, 1.0, 1.0)
     analytic = ComplexField(grid, psi0.values * np.exp(-1j * e3 * 1.0))
     assert abs(overlap(path.states[-1], analytic)) > 1.0 - 1e-6
@@ -405,7 +407,9 @@ def test_quantum_bridge_collapse_density(grid, model, packet):
     region = (0.0, grid.x_max)
     chi = grid.points >= 0.0
     rho1 = normalize(ScalarField(grid, np.where(chi, np.abs(psi1.values) ** 2, 0.0)))
-    tilde = quantum_bridge(path, rho1)
+    # the cut at x = 0 spreads mass to the walls on the way back to t0
+    with pytest.warns(BoundaryMassWarning):
+        tilde = quantum_bridge(path, rho1)
     collapsed, _ = collapse(psi1, region)
     assert np.max(np.abs(tilde.states[-1].values - collapsed.values)) < 1e-12
 
