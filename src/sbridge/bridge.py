@@ -6,16 +6,30 @@ boundary conditions by alternating rescaling against the marginals
 domain for stability. Exposes the bridge's time-t density, its forward
 drift, the one-marginal half bridge, and exact time reversal.
 
+The rescaling is over-relaxed (Thibault, Chizat, Dossal and Papadakis 2021;
+Lehmann, von Renesse, Sambale and Uschmajew 2022): each log-potential moves
+omega times its plain step. omega is 1 until the residual history shows a
+steady contraction rate r of plain scaling (three successive ratios within
+5 %), then 2 / (1 + sqrt(1 - r)), the optimal factor for that rate. The
+nonlinear iteration may still diverge at that omega (it does at sigma2 =
+0.01 on the Fortet marginals of the tests), so a residual above twice the
+best one seen sends omega back to 1 for the rest of the solve. The residual
+history is therefore not monotone. omega = 1 is plain scaling, so there is
+no option.
+
 The Wiener span rule lives in _wiener_span: every propagation of a potential
-or density over a time span (solver, marginal residuals, time-t potentials,
-drift sweeps, prior flow) is the identity at span 0, else one call of
+or density over time spans (solver, marginal residuals, time-t potentials,
+drift sweeps, prior flow) is the identity at span 0, else a row of
 kernels.log_heat_propagate with variance sigma2 * span, a direct Toeplitz
-convolution with exact log-sum-exp rows where it underflows. No kernel
-matrix is built, and no FFT is used, because FFT error is absolute and the
-1e-30 density floor depends on the tails keeping their relative accuracy.
-Each time is propagated directly from the stored endpoint potential, never
-by compounding a one-step kernel, which would compound its aliasing error
-when the step is under-resolved (sqrt(sigma2 dt) < h).
+convolution with exact log-sum-exp rows where it underflows. A sweep over
+many times is one call with one variance per time, and the exp, log or
+gradient that follows is taken over the whole stack; each row equals the
+single-time result bit for bit. No kernel matrix is built, and no FFT is
+used, because FFT error is absolute and the 1e-30 density floor depends on
+the tails keeping their relative accuracy. Each time is propagated directly
+from the stored endpoint potential, never by compounding a one-step kernel,
+which would compound its aliasing error when the step is under-resolved
+(sqrt(sigma2 dt) < h).
 """
 
 from __future__ import annotations
@@ -31,10 +45,10 @@ from .grid import (
     DensityField,
     ScalarField,
     _gradient_values,
+    _log_gradient_values,
     integrate,
     kl_divergence,
     l1_distance,
-    log_gradient,
     normalize,
     require_count,
     require_finite_positive,
@@ -44,11 +58,31 @@ from .grid import (
 from .kernels import TransitionKernel, log_heat_propagate
 
 
-def _wiener_span(grid, log_f: np.ndarray, sigma2: float, span: float) -> np.ndarray:
-    """log_f propagated over a time span: variance sigma2 * span, log_f itself at span 0."""
-    if span == 0:
-        return log_f
-    return log_heat_propagate(grid, log_f, sigma2 * span)
+#: successive residual ratios that must agree, and within what relative
+#: spread, before the last of them is read as the contraction rate of scaling
+_RATE_RATIOS = 3
+_RATE_AGREEMENT = 0.05
+
+#: a residual above this multiple of the best one seen ends over-relaxation
+_SAFEGUARD = 2.0
+
+
+def _wiener_span(grid, log_f: np.ndarray, sigma2: float, spans) -> np.ndarray:
+    """log_f propagated over each time span: variance sigma2 * span, log_f itself at span 0.
+
+    spans is one span (a 1-D result) or a 1-D array of them (one row each);
+    the spans that move share one log_heat_propagate call.
+    """
+    spans = np.asarray(spans, dtype=float)
+    moving = spans != 0
+    rows = log_heat_propagate(grid, log_f, sigma2 * spans[moving])
+    if moving.all():
+        # no identity row: the propagated rows are the result, with no second stack
+        return rows.reshape(spans.shape + log_f.shape)
+    out = np.empty(spans.shape + log_f.shape)
+    out[~moving] = log_f
+    out[moving] = rows
+    return out
 
 
 def floor_density(rho: DensityField) -> DensityField:
@@ -134,15 +168,24 @@ def solve_schrodinger_system(
 ) -> BridgeSolution:
     """Fit the potential pair to the marginal boundary conditions.
 
-    Log-domain iterative proportional fitting: alternate between enforcing
-    the terminal marginal (rescale phi1) and the initial one (rescale
-    phihat0) until both L1 marginal defects fall below tol. The returned
-    gauge is fixed so the two log-potentials at t1 have equal quadrature
-    means, making outputs reproducible; all observables are gauge-free.
+    Log-domain iterative proportional fitting, over-relaxed: alternate
+    between enforcing the terminal marginal (log phi1 moves by omega times
+    its step towards log rho1 - log phihat1) and the initial one (the same
+    for log phihat0), until the L1 defect of the terminal marginal falls
+    below tol. omega starts at 1, plain scaling. Once _RATE_RATIOS
+    successive ratios of the residual history agree within _RATE_AGREEMENT,
+    the last ratio r is the contraction rate of plain scaling and omega
+    becomes 2 / (1 + sqrt(1 - r)), the optimal factor for that rate. Once a
+    residual exceeds _SAFEGUARD times the best one seen, omega falls back to
+    1 for the rest of the solve, where plain scaling converges. So
+    residual_history is not monotone. The returned gauge is fixed so the two
+    log-potentials at t1 have equal quadrature means, making outputs
+    reproducible; all observables are gauge-free.
 
-    The potentials stay finite: the floored marginals have finite logs, and
-    log_heat_propagate keeps finite logs finite. Raises NoConvergence with
-    the last residual when max_iter is exhausted.
+    The potentials stay finite: the floored marginals have finite logs,
+    log_heat_propagate keeps finite logs finite, and each update is an
+    affine combination of finite logs. Raises NoConvergence with the last
+    residual when max_iter is exhausted.
     """
     require_count(max_iter, 1, "max_iter")
     grid, sigma2, span = problem.kernel.grid, problem.sigma2, problem.t1 - problem.t0
@@ -152,6 +195,7 @@ def solve_schrodinger_system(
     log_phihat0 = log_rho0.copy()
     log_phi1 = np.zeros_like(log_rho1)
     history = []
+    omega, rate_read, best = 1.0, False, np.inf
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
@@ -160,9 +204,16 @@ def solve_schrodinger_system(
         history.append(residual)
         if residual < tol:
             break
-        log_phi1 = log_rho1 - log_phihat1
+        if residual > _SAFEGUARD * best:
+            omega, rate_read = 1.0, True
+        best = min(best, residual)
+        if not rate_read and len(history) > _RATE_RATIOS:
+            ratios = np.divide(history[-_RATE_RATIOS:], history[-_RATE_RATIOS - 1:-1])
+            if ratios.max() <= (1.0 + _RATE_AGREEMENT) * ratios.min() and ratios[-1] < 1.0:
+                omega, rate_read = 2.0 / (1.0 + np.sqrt(1.0 - ratios[-1])), True
+        log_phi1 = (1.0 - omega) * log_phi1 + omega * (log_rho1 - log_phihat1)
         log_phi0 = _wiener_span(grid, log_phi1, sigma2, span)
-        log_phihat0 = log_rho0 - log_phi0
+        log_phihat0 = (1.0 - omega) * log_phihat0 + omega * (log_rho0 - log_phi0)
     else:
         raise NoConvergence(max_iter, residual)
 
@@ -223,10 +274,7 @@ def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
     t must lie in [t0, t1]; the finite log phi1 is propagated directly over
     [t, t1], so log phi stays finite and only an overflowing gradient fails.
     """
-    p = sol.problem
-    grid = p.kernel.grid
-    log_phi = _wiener_span(grid, sol.log_phi1, p.sigma2, p.t1 - _check_partition(sol, t))
-    return ScalarField(grid, p.sigma2 * _gradient_values(log_phi, grid.h))
+    return bridge_drift_fields(sol, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -288,23 +336,42 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
 
 
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:
-    """bridge_drift at each of the given times, to feed a time-indexed drift to the samplers."""
-    return [bridge_drift(sol, t) for t in np.asarray(times, dtype=float)]
+    """bridge_drift at each of the given times, to feed a time-indexed drift to the samplers.
+
+    One propagation of log phi1 over all the spans t1 - t, one gradient over the stack.
+    """
+    p = sol.problem
+    grid = p.kernel.grid
+    spans = [p.t1 - _check_partition(sol, t) for t in np.asarray(times, dtype=float)]
+    drifts = _gradient_values(_wiener_span(grid, sol.log_phi1, p.sigma2, spans), grid.h)
+    drifts *= p.sigma2
+    return [ScalarField(grid, row) for row in drifts]
 
 
-def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[DensityField]:
-    """Marginals of the Wiener prior started from rho0 along a time grid.
+def _wiener_flow_values(rho0: DensityField, times, sigma2: float) -> np.ndarray:
+    """Values of the Wiener marginals from rho0 along a time grid, one row per time.
 
-    Each marginal is propagated directly from rho0 over [t_0, t_k]; the first
-    is rho0 itself. times must be strictly increasing and sigma2 finite and
-    positive, even for a single time.
+    Row 0 is rho0 itself; row k is rho0 propagated directly over [t_0, t_k].
     """
     require_finite_positive(sigma2, "sigma2")
     times = require_time_grid(times, 1)
     with np.errstate(divide="ignore"):
         log_rho0 = np.log(rho0.values)
-    logs = (_wiener_span(rho0.grid, log_rho0, sigma2, t - times[0]) for t in times[1:])
-    return [rho0] + [DensityField(rho0.grid, np.exp(f), mass_tol=None) for f in logs]
+    out = np.empty((times.shape[0], rho0.grid.n_points))
+    out[0] = rho0.values
+    np.exp(_wiener_span(rho0.grid, log_rho0, sigma2, times[1:] - times[0]), out=out[1:])
+    return out
+
+
+def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[DensityField]:
+    """Marginals of the Wiener prior started from rho0 along a time grid.
+
+    Each marginal is propagated directly from rho0 over [t_0, t_k], all of
+    them in one call; the first is rho0 itself. times must be strictly
+    increasing and sigma2 finite and positive, even for a single time.
+    """
+    values = _wiener_flow_values(rho0, times, sigma2)
+    return [rho0] + [DensityField(rho0.grid, row, mass_tol=None) for row in values[1:]]
 
 
 def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> list[ScalarField]:
@@ -312,10 +379,9 @@ def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> li
 
     By the forward/backward duality with zero forward drift, this is the drift
     that a reverse-time sampler of the prior (or of a half bridge over it)
-    must use.
+    must use. The log gradient is taken over the whole stack of marginals.
     """
-    flows = wiener_marginal_flow(rho0, times, sigma2)
-    return [
-        ScalarField(rho.grid, -sigma2 * log_gradient(rho).values) for rho in flows
-    ]
-
+    grid = rho0.grid
+    drifts = _log_gradient_values(_wiener_flow_values(rho0, times, sigma2), grid.h)
+    drifts *= -sigma2
+    return [ScalarField(grid, row) for row in drifts]

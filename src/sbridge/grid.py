@@ -36,6 +36,8 @@ class Grid1D:
     def __post_init__(self):
         require_count(self.n_points, 3, "n_points")
         require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
+        # a width of a few subnormals leaves an end weight of 0, whose log is -inf
+        require_finite_positive(self.h / 2.0, "end weight h / 2")
 
     @property
     def h(self) -> float:
@@ -325,7 +327,9 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
     live &= ~q_dead
     ratio = np.ones_like(pv)
     np.divide(pv, qv, out=ratio, where=live)
-    integrand = np.where(live, pv * np.log(ratio), 0.0)
+    # an overflow gives an infinite value, refused below
+    with np.errstate(over="ignore"):
+        integrand = np.where(live, pv * np.log(ratio), 0.0)
     value = float(np.dot(p.grid.weights, integrand))
     if not np.isfinite(value):
         raise InfiniteEntropy(f"divergence is {value!r}: p log(p/q) overflowed")

@@ -13,6 +13,12 @@ sum falls below an underflow floor are recomputed exactly by a max-shifted
 log-sum-exp against the analytic log profile. The symmetric Wiener kernel
 makes forward and backward propagation the same map.
 
+The variance may be a 1-D array: the result then has one row per variance,
+shape (K, n). The rows share log w, the shift and the shifted linear vector;
+each builds its own profile inside the loop (never a (K, 2n - 1) stack), and
+each equals the call with its variance alone, bit for bit. A sweep over the
+times of a grid is one such call.
+
 The convolution is direct, not FFT-based: FFT error is absolute, about
 1e-16 times the largest output, while the solvers need the tails to keep
 their relative accuracy (bridge marginals are floored at 1e-30 of their
@@ -81,21 +87,31 @@ def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKe
 
 
 def _log_gaussian_profile(grid: Grid1D, variance: float) -> np.ndarray:
-    """-d^2 / (2 variance) at the 2n - 1 grid offsets d = (1 - n) h, ..., (n - 1) h."""
+    """-d^2 / (2 variance) at the 2n - 1 grid offsets d = (1 - n) h, ..., (n - 1) h.
+
+    An offset far beyond the kernel width overflows to -inf, an exact zero weight.
+    """
     d = np.arange(1 - grid.n_points, grid.n_points) * grid.h
-    return -(d**2) / (2.0 * variance)
+    with np.errstate(over="ignore"):
+        return -(d**2) / (2.0 * variance)
 
 
-def log_heat_propagate(grid: Grid1D, log_f, variance: float) -> np.ndarray:
+def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     """log sum_j p(x_i - x_j) w_j exp(log_f[j]) for the Gaussian density p of the given variance.
 
-    One direct convolution of exp(log_f + log w - max) with the kernel's
-    2n - 1 samples; rows whose linear sum underflows below _LINEAR_FLOOR are
-    recomputed by a max-shifted log-sum-exp against the analytic log profile.
-    Finite input gives finite output, all -inf input all -inf output. A
-    variance above _MAX_VARIANCE, where the normaliser overflows, raises ValueError.
+    variance is one variance (a 1-D result) or a 1-D array of them (one row
+    each, shape (K, n)). The rows share log w, the shift and
+    exp(log_f + log w - max); each row is one direct convolution of that
+    vector with its kernel's 2n - 1 samples, and its entries whose linear sum
+    underflows below _LINEAR_FLOOR are recomputed by a max-shifted log-sum-exp
+    against the analytic log profile. A row equals the call with its variance
+    alone, bit for bit. Finite input gives finite output, all -inf input all
+    -inf output. A variance above _MAX_VARIANCE, where the normaliser
+    overflows, raises ValueError.
     """
-    _require_variance(variance)
+    variances = np.asarray(variance, dtype=float)
+    for v in variances.flat:
+        _require_variance(v)
     n = grid.n_points
     a = np.asarray(log_f, dtype=float) + np.log(grid.weights)
     if a.shape != (n,):
@@ -103,18 +119,24 @@ def log_heat_propagate(grid: Grid1D, log_f, variance: float) -> np.ndarray:
     shift = a.max()
     if not shift < np.inf:
         raise ValueError(f"log values must be below +inf and not NaN, max is {shift}")
+    out = np.full(variances.shape + (n,), -np.inf)
     if shift == -np.inf:
-        return np.full(n, -np.inf)
-    log_profile = _log_gaussian_profile(grid, variance)
-    linear = np.convolve(np.exp(a - shift), np.exp(log_profile), mode="valid")
-    with np.errstate(divide="ignore"):
-        out = np.log(linear) + shift
-    low = np.flatnonzero(linear < _LINEAR_FLOOR)
-    if low.size:
-        terms = log_profile[np.subtract.outer(low, np.arange(n)) + (n - 1)] + a
-        top = terms.max(axis=1)
-        out[low] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-    return out - 0.5 * np.log(2.0 * np.pi * variance)
+        return out
+    shifted = np.exp(a - shift)
+    # one profile at a time: a (K, 2n - 1) stack of them would outgrow the result
+    for row, v in zip(out.reshape(-1, n), variances.flat):
+        log_profile = _log_gaussian_profile(grid, v)
+        linear = np.convolve(shifted, np.exp(log_profile), mode="valid")
+        with np.errstate(divide="ignore"):
+            np.log(linear, out=row)
+        row += shift
+        low = np.flatnonzero(linear < _LINEAR_FLOOR)
+        if low.size:
+            terms = log_profile[np.subtract.outer(low, np.arange(n)) + (n - 1)] + a
+            top = terms.max(axis=1)
+            row[low] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        row -= 0.5 * np.log(2.0 * np.pi * v)
+    return out
 
 
 def _check_truncation(kernel: TransitionKernel) -> None:

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -19,13 +21,15 @@ from sbridge.bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
+import sbridge.bridge
 from sbridge.errors import NoConvergence, TimeMismatch, TruncationWarning
 from sbridge.families import gaussian_density, indicator_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, kl_divergence, log_gradient, normalize
 from sbridge.kernels import TransitionKernel, heat_kernel
 from sbridge.sde import GridDrift, path_entropy_forward, sample_forward
 
-from oracles import heat_matrix
+from oracles import (gaussian_bridge_marginal, heat_matrix, log_apply, log_heat_matrix,
+                     plain_scaling)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +221,8 @@ def test_gauge_freedom_leaves_observables_unchanged(setup):
 
 
 def test_residual_history_is_monotone(setup):
+    # over-relaxation may raise a residual (the safeguard allows up to twice
+    # the best); on this problem the rate-read omega never does
     _, _, _, sol = setup
     hist = sol.residual_history
     assert np.all(np.diff(hist) <= 1e-14)
@@ -269,12 +275,102 @@ def test_wiener_flow_mass_with_under_resolved_steps():
 
 
 def test_drift_fields_match_per_time_drift(setup):
+    # one batched sweep, t0 and t1 included, equals the single-time drifts bit for bit
     _, _, _, sol = setup
     times = np.linspace(0.0, 1.0, 11)
-    fields = bridge_drift_fields(sol, times)
-    for t, f in zip(times[1:-1], fields[1:-1]):
-        single = bridge_drift(sol, t)
-        assert np.max(np.abs(f.values - single.values)) < 1e-12
+    for sl in (sol, time_reverse(sol)):
+        for t, f in zip(times, bridge_drift_fields(sl, times)):
+            assert np.array_equal(f.values, bridge_drift(sl, t).values)
+
+
+def test_flow_rows_equal_single_time_flows():
+    grid = Grid1D(-8.0, 8.0, 401)
+    rho0 = gaussian_density(grid, -1.0, 0.25)
+    times = np.linspace(0.0, 1.0, 11)
+    flow = wiener_marginal_flow(rho0, times, 0.05)
+    drifts = wiener_backward_drift_fields(rho0, times, 0.05)
+    assert flow[0] is rho0
+    assert np.array_equal(drifts[0].values,
+                          wiener_backward_drift_fields(rho0, times[:1], 0.05)[0].values)
+    for k in range(1, times.size):
+        assert np.array_equal(flow[k].values,
+                              wiener_marginal_flow(rho0, times[[0, k]], 0.05)[-1].values)
+        assert np.array_equal(drifts[k].values,
+                              wiener_backward_drift_fields(rho0, times[[0, k]], 0.05)[-1].values)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.2, 0.05])
+def test_gaussian_bridge_matches_closed_form(sigma2):
+    grid = Grid1D(-10.0, 10.0, 801)
+    ends = (-1.0, 0.25, 1.0, 0.25)
+    problem = BridgeProblem(gaussian_density(grid, *ends[:2]), gaussian_density(grid, *ends[2:]),
+                            heat_kernel(grid, 0.0, 1.0, sigma2), sigma2)
+    sol = solve_schrodinger_system(problem, tol=1e-12)
+    for t in (0.25, 0.5, 0.75):
+        exact = gaussian_bridge_marginal(grid.points, t, *ends, sigma2)
+        assert np.dot(grid.weights, np.abs(bridge_density(sol, t).values - exact)) <= 1e-10
+
+
+#: sigma2, grid size, and the iteration counts of plain scaling and of the
+#: over-relaxed solver on the benchmark's Fortet marginals over [-8, 8], tol 1e-9
+FORTET_COUNTS = [(1.0, 801, 11, 10), (0.2, 401, 41, 20), (0.05, 401, 162, 49),
+                 (0.01, 161, 808, 806)]
+
+
+def fortet_problem(sigma2, n):
+    grid = Grid1D(-8.0, 8.0, n)
+    rho1 = mixture_density(grid, [(0.6, {"kind": "gaussian", "mean": 0.5, "var": 0.1}),
+                                  (0.4, {"kind": "gaussian", "mean": 1.8, "var": 0.1})])
+    return BridgeProblem(gaussian_density(grid, -1.0, 0.25), rho1,
+                         heat_kernel(grid, 0.0, 1.0, sigma2), sigma2)
+
+
+@functools.cache
+def fortet_pair(sigma2, n):
+    """The over-relaxed solve, run with warnings as errors, and the plain reference."""
+    problem = fortet_problem(sigma2, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_schrodinger_system(problem)
+    return sol, plain_scaling(problem.kernel.grid, problem.rho0.values, problem.rho1.values, sigma2)
+
+
+@pytest.mark.parametrize("sigma2, n, plain, over", FORTET_COUNTS)
+def test_over_relaxed_solve_takes_fewer_iterations(sigma2, n, plain, over):
+    sol, (_, _, ref_iterations) = fortet_pair(sigma2, n)
+    assert ref_iterations == plain
+    assert sol.iterations == over <= plain
+    assert sol.residual < 1e-9 and max(sol.marginal_residuals()) < 1e-8
+
+
+# at sigma2 = 0.01 the grid under-resolves the half-span kernel, so the
+# midpoint mass is off by 7e-5 in both solves of the same discrete problem
+@pytest.mark.filterwarnings("ignore::sbridge.errors.MassDefectWarning")
+@pytest.mark.parametrize("sigma2, n", [case[:2] for case in FORTET_COUNTS])
+def test_over_relaxed_densities_match_plain_reference(sigma2, n):
+    sol, (log_phi1, log_phihat0, _) = fortet_pair(sigma2, n)
+    grid = sol.problem.kernel.grid
+    for t in (0.0, 0.5, 1.0):
+        log_phi = log_phi1 if t == 1.0 else log_apply(log_heat_matrix(grid, sigma2 * (1 - t)),
+                                                      log_phi1)
+        log_phihat = log_phihat0 if t == 0.0 else log_apply(log_heat_matrix(grid, sigma2 * t),
+                                                            log_phihat0)
+        ref = np.exp(log_phi + log_phihat)
+        assert np.max(np.abs(bridge_density(sol, t).values - ref)) < 1e-8
+
+
+def test_safeguard_rescues_the_small_sigma2_solve(monkeypatch):
+    # at sigma2 = 0.01 the rate read from the history gives an omega that
+    # diverges; the safeguard falls back to plain scaling, which converges
+    # with no warning (fortet_pair solves with warnings as errors)
+    sol, _ = fortet_pair(0.01, 161)
+    history = sol.residual_history
+    assert np.any(history[1:] > 2.0 * np.minimum.accumulate(history)[:-1])
+    assert sol.residual < 1e-9
+    monkeypatch.setattr(sbridge.bridge, "_SAFEGUARD", np.inf)
+    with pytest.raises(NoConvergence) as failed:
+        solve_schrodinger_system(sol.problem, max_iter=300)
+    assert failed.value.residual > 1.0
 
 
 def test_narrow_solve_over_exact_zero_kernel_band():

@@ -38,6 +38,14 @@ def test_grid_basic_invariants():
             Grid1D(lo, hi, 11)
 
 
+@pytest.mark.parametrize("x_max", [5e-324, 1e-323])
+def test_grid_whose_end_weight_underflows_is_refused(x_max):
+    # h = 0 at 5e-324; at 1e-323, h is the smallest subnormal and h / 2 is 0,
+    # so the log-domain propagation would read log(0) = -inf at the walls
+    with pytest.raises(ValueError, match="end weight"):
+        Grid1D(0.0, x_max, 3)
+
+
 def test_integrate_constant_exact():
     g = Grid1D(0.0, 1.0, 17)
     assert integrate(ScalarField(g, np.ones(17))) == pytest.approx(1.0, abs=0)

@@ -259,6 +259,22 @@ def test_log_heat_propagate_underflowing_rows_are_exact():
     assert np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
+def test_batched_rows_equal_single_variance_calls():
+    # the first variance takes the exact log-sum-exp fallback rows (see the
+    # test above); the others are the spans of a sigma2 = 0.01 bridge
+    grid = Grid1D(-8.0, 8.0, 201)
+    log_f = np.linspace(-700.0, 700.0, grid.n_points)
+    variances = np.array([1e-3 * grid.h**2, 0.0025, 0.005, 0.01, 1.0])
+    rows = log_heat_propagate(grid, log_f, variances)
+    assert rows.shape == (variances.size, grid.n_points) and rows[0].min() < -690.0
+    for row, v in zip(rows, variances):
+        assert np.array_equal(row, log_heat_propagate(grid, log_f, v))
+    assert log_heat_propagate(grid, log_f, variances[:0]).shape == (0, grid.n_points)
+    assert np.all(log_heat_propagate(grid, np.full(grid.n_points, -np.inf), variances) == -np.inf)
+    with pytest.raises(ValueError):
+        log_heat_propagate(grid, log_f, [1.0, 0.0])
+
+
 def test_log_heat_propagate_of_all_zero_input_is_minus_inf(grid):
     out = log_heat_propagate(grid, np.full(grid.n_points, -np.inf), 1.0)
     assert np.all(out == -np.inf)
@@ -292,8 +308,7 @@ def test_log_heat_propagate_keeps_finite_logs_finite(case):
     # Offsets far beyond the kernel width overflow -d^2 / (2 v) to -inf, an
     # exact zero weight; the diagonal weight 1 keeps every row's sum positive
     grid, log_f, v = case
-    with np.errstate(over="ignore"):
-        out = log_heat_propagate(grid, log_f, v)
+    out = log_heat_propagate(grid, log_f, v)
     assert np.all(np.isfinite(out))
 
 
