@@ -2,8 +2,11 @@
 
 Trajectories are generated from one random stream per path block (SFC64
 keyed by the master seed and the block index through a SeedSequence), so
-ensembles are bit-reproducible and blocks could run concurrently without
-changing the output. Among the path functionals is the Girsanov split of the
+ensembles are bit-reproducible. The samplers run on two threads: a helper
+thread draws each block's scaled Gaussian increments in the serial order,
+while the calling thread reads the drifts and takes the steps. Each stream
+is read by one thread in a fixed order, so the output never depends on
+scheduling. Among the path functionals is the Girsanov split of the
 path entropy of one diffusion law with respect to another: a marginal
 divergence (grid.kl_divergence) plus a quadratic drift-mismatch integral,
 taken at either end of the time interval (forward drifts + initial
@@ -13,6 +16,7 @@ marginals, or backward drifts + terminal marginals); both totals must agree.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -142,14 +146,66 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block_index])))
 
 
-def _initial_positions(rho, u: np.ndarray) -> np.ndarray:
-    """Inverse trapezoid-CDF sampling; piecewise-linear within cells."""
+def _trapezoid_cdf(rho) -> np.ndarray:
+    """Normalized trapezoid CDF of rho at its grid points.
+
+    np.interp(u, cdf, grid.points) maps uniforms to positions, piecewise-linear
+    within cells; the abscissa is the CDF, not a uniform grid, so interp_uniform
+    does not apply.
+    """
     grid = rho.grid
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * grid.h * (rho.values[:-1] + rho.values[1:]))])
     cdf /= cdf[-1]
-    # the abscissa is the CDF, not a uniform grid, so interp_uniform does not apply
-    return np.interp(u, cdf, grid.points)
+    return cdf
+
+
+class _Increments:
+    """Helper thread that writes each block's scaled Gaussian increments into positions.
+
+    It fills the rows in the serial order, block by block and within a block
+    in step order: row dst of block b gets standard normals from rngs[b] times
+    scales[k], and wait() returns once the next row is done. The thread never
+    reads a drift. Leaving the with-block, normally or by an exception, stops
+    it at its next row and joins it; an exception in the thread is raised by
+    wait() instead.
+    """
+
+    def __init__(self, positions, rngs, spans, steps, scales):
+        self._ready = threading.Semaphore(0)
+        self._stop = threading.Event()
+        self._failure = []
+        self._thread = threading.Thread(
+            target=self._fill, args=(positions, rngs, spans, steps, scales))
+
+    def _fill(self, positions, rngs, spans, steps, scales):
+        try:
+            for rng, (start, stop) in zip(rngs, spans):
+                for k, _, dst in steps:
+                    if self._stop.is_set():
+                        return
+                    row = rng.standard_normal(out=positions[dst, start:stop])
+                    row *= scales[k]
+                    self._ready.release()
+        # any exception, an interrupt too, is raised again by wait() on the
+        # calling thread, which must not wait for a row that never comes
+        except BaseException as exc:
+            self._failure.append(exc)
+            self._ready.release()
+
+    def wait(self) -> None:
+        """Block until the next row is filled; raise the thread's exception if it failed."""
+        self._ready.acquire()
+        if self._failure:
+            raise self._failure[0]
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join()
 
 
 def _require_sigma2(sigma2) -> None:
@@ -193,26 +249,33 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
     positions = np.empty((n_times, n_paths))
     dts = np.diff(times)
     sign = -1.0 if backward else 1.0
-    steps = range(n_times - 2, -1, -1) if backward else range(n_times - 1)
-    for b, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
-        stop = min(start + BLOCK_SIZE, n_paths)
-        rng = _block_generator(seed, b)
-        x = _initial_positions(rho_start, rng.random(stop - start))
-        positions[-1 if backward else 0, start:stop] = x
-        drift_dt = np.empty(stop - start)
-        for k in steps:
-            # step k joins times k and k+1; the drift is read where the step starts
-            src, dst = (k + 1, k) if backward else (k, k + 1)
-            # the increment is built in the destination row, then x is added
-            inc = rng.standard_normal(out=positions[dst, start:stop])
-            inc *= sigma * np.sqrt(dts[k])
-            inc += np.multiply(drift(x, times[src]), sign * dts[k], out=drift_dt)
-            peak = max(float(inc.max()), -float(inc.min()))  # NaN or inf if any entry is
-            if not np.isfinite(peak):
-                raise DriftBlowup("non-finite Euler-Maruyama increment")
-            if table and peak > width:
-                raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
-            x = np.add(inc, x, out=inc)
+    # step k joins times k and k+1; the drift is read at src, where the step starts
+    steps = ([(k, k + 1, k) for k in range(n_times - 2, -1, -1)] if backward
+             else [(k, k, k + 1) for k in range(n_times - 1)])
+    spans = [(start, min(start + BLOCK_SIZE, n_paths)) for start in range(0, n_paths, BLOCK_SIZE)]
+    rngs = [_block_generator(seed, b) for b in range(len(spans))]
+    # each stream gives its block's start uniforms before the helper thread draws its normals
+    first = positions[-1 if backward else 0]
+    for rng, (start, stop) in zip(rngs, spans):
+        rng.random(out=first[start:stop])
+    cdf, points = _trapezoid_cdf(rho_start), rho_start.grid.points
+    with _Increments(positions, rngs, spans, steps, sigma * np.sqrt(dts)) as increments:
+        for start, stop in spans:
+            x = first[start:stop]
+            x[:] = np.interp(x, cdf, points)
+            drift_dt = np.empty(stop - start)
+            for k, src, dst in steps:
+                np.multiply(drift(x, times[src]), sign * dts[k], out=drift_dt)
+                # the increment is built in the destination row, then x is added
+                increments.wait()
+                inc = positions[dst, start:stop]
+                inc += drift_dt
+                peak = max(float(inc.max()), -float(inc.min()))  # NaN or inf if any entry is
+                if not np.isfinite(peak):
+                    raise DriftBlowup("non-finite Euler-Maruyama increment")
+                if table and peak > width:
+                    raise DriftBlowup(f"increment {peak:.3g} exceeds domain width {width:.3g}")
+                x = np.add(inc, x, out=inc)
 
     if table:
         evals, clamped = drift.n_eval - ev0, drift.n_clamped - cl0
@@ -236,6 +299,11 @@ def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> Pa
     random numbers of block b depend only on seed and b: identical arguments
     give a bit-identical ensemble, and a full block's paths do not change
     with n_paths.
+
+    A helper thread draws the increments sigma sqrt(dt) z_k ahead of the
+    steps; beta is read only on the calling thread, so a drift need not be
+    thread-safe. The helper thread is joined before the call returns or
+    raises, and the output never depends on how the threads are scheduled.
     """
     return _simulate(beta, rho0, sigma2, times, n_paths, seed, backward=False)
 
@@ -247,6 +315,8 @@ def sample_backward(gamma, rho1: DensityField, sigma2, times, n_paths, seed) -> 
     the last time down to the first; positions are stored in increasing-time
     order with direction tag "backward". The seed and the blocks of paths are
     those of sample_forward: block b's random numbers depend only on seed and b.
+    As there, a helper thread draws the increments, gamma is read only on the
+    calling thread, and the output never depends on scheduling.
     """
     return _simulate(gamma, rho1, sigma2, times, n_paths, seed, backward=True)
 

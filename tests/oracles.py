@@ -90,3 +90,37 @@ def cayley_step(psi, hbar, m, potential, h, dt):
     out = psi.astype(complex)
     out[1:-1] = np.linalg.solve(np.eye(n) + a, (np.eye(n) - a) @ psi[1:-1])
     return out
+
+
+def serial_euler_maruyama(drift, rho, sigma2, times, n_paths, seed, backward=False):
+    """Euler-Maruyama on one thread, path blocks one after another; (n_paths, n_times).
+
+    Block b of 16384 paths draws from SFC64 keyed by SeedSequence([seed, b]):
+    first its start uniforms, mapped through the inverse trapezoid CDF of rho,
+    then one row of standard normals per step in step order. A step reads the
+    drift where it starts: forward x_{k+1} = x_k + drift(x_k, t_k) dt + sigma
+    sqrt(dt) z, backward x_k = x_{k+1} - drift(x_{k+1}, t_{k+1}) dt + sigma
+    sqrt(dt) z.
+    """
+    grid = rho.grid
+    x_grid, w = _nodes(grid)
+    values = rho.values
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * w[1] * (values[:-1] + values[1:]))])
+    cdf /= cdf[-1]
+    n_times = len(times)
+    dts = np.diff(times)
+    steps = range(n_times - 2, -1, -1) if backward else range(n_times - 1)
+    out = np.empty((n_times, n_paths))
+    for b, start in enumerate(range(0, n_paths, 16384)):
+        stop = min(start + 16384, n_paths)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
+        x = np.interp(rng.random(stop - start), cdf, x_grid)
+        out[-1 if backward else 0, start:stop] = x
+        for k in steps:
+            src, dst = (k + 1, k) if backward else (k, k + 1)
+            inc = rng.standard_normal(stop - start) * (np.sqrt(sigma2) * np.sqrt(dts[k]))
+            inc += np.asarray(drift(x, times[src]), dtype=float) * ((-1.0 if backward else 1.0)
+                                                                    * dts[k])
+            x = inc + x
+            out[dst, start:stop] = x
+    return out.T

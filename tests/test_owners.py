@@ -62,6 +62,10 @@ OWNERS = [
     ("np.linalg.inv(segments)", "quantum.py", True),
     # a divergence that overflows: grid.kl_divergence, for half_bridge and the Girsanov split
     ("raise InfiniteEntropy", "grid.py", True),
+    # the one thread the package starts: the sampler's helper, sde._Increments
+    ("threading.Thread(", "sde.py", True),
+    # the one random stream per path block: sde._block_generator
+    ("np.random.Generator(", "sde.py", True),
 ]
 
 

@@ -1,10 +1,13 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sbridge import sde
 from sbridge.errors import (
     DriftBlowup,
     EmptyEnsemble,
@@ -26,6 +29,8 @@ from sbridge.sde import (
     sample_backward,
     sample_forward,
 )
+
+from oracles import serial_euler_maruyama
 
 ZERO = lambda x, t: np.zeros_like(x)
 
@@ -365,3 +370,145 @@ def test_empirical_energy_constant_drift(grid):
     ens = sample_forward(lambda x, t: np.full_like(x, 2.0), point_start(grid),
                          1e-12, times, 10, seed=37)
     assert empirical_energy(ens, lambda x, t: np.full_like(x, 2.0)) == pytest.approx(4.0)
+
+
+def _ou_table(grid, times):
+    return GridDrift(times, [ScalarField(grid, -grid.points)] * len(times))
+
+
+@pytest.mark.parametrize("n_paths", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
+@pytest.mark.parametrize("table", [True, False], ids=["grid-drift", "callable"])
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_samplers_equal_the_serial_reference(grid, n_paths, table, backward):
+    # the helper thread draws what the serial loop drew, so the bytes agree
+    times = np.linspace(0.0, 1.0, 11)
+    drift = _ou_table(grid, times) if table else (lambda x, t: -x * (1.0 + t))
+    rho = gaussian_density(grid, 0.5, 0.5)
+    sample = sample_backward if backward else sample_forward
+    ens = sample(drift, rho, 0.7, times, n_paths, seed=17)
+    ref = serial_euler_maruyama(drift, rho, 0.7, times, n_paths, 17, backward)
+    assert np.array_equal(ens.positions, ref)
+
+
+@pytest.mark.parametrize("sample", [sample_forward, sample_backward])
+def test_drifts_run_on_the_calling_thread(grid, sample):
+    callers = set()
+
+    def drift(x, t):
+        callers.add(threading.get_ident())
+        return -x
+
+    sample(drift, gaussian_density(grid, 0.0, 0.5), 1.0, np.linspace(0.0, 1.0, 21),
+           2 * BLOCK_SIZE + 3, seed=3)
+    assert callers == {threading.get_ident()}
+
+
+def test_concurrent_sampler_calls_under_fast_thread_switching(grid):
+    # three callers, each with its own helper thread, on two cores: every
+    # row handed over between threads must hold the serial loop's values
+    times, rho = np.linspace(0.0, 1.0, 21), gaussian_density(grid, 0.0, 0.5)
+    ou = lambda x, t: -x
+    results = {}
+
+    def call(seed):
+        results[seed] = sample_forward(ou, rho, 1.0, times, BLOCK_SIZE + 5, seed).positions
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,), daemon=True) for seed in (1, 2, 3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in (1, 2, 3):
+        ref = serial_euler_maruyama(ou, rho, 1.0, times, BLOCK_SIZE + 5, seed)
+        assert np.array_equal(results[seed], ref)
+
+
+def _nan_from_step_5():
+    calls = []
+
+    def drift(x, t):
+        calls.append(t)
+        return np.full_like(x, np.nan) if len(calls) == 6 else -x
+    return drift
+
+
+def _raises_value_error(x, t):
+    raise ValueError("drift failed")
+
+
+@pytest.mark.parametrize("sample", [sample_forward, sample_backward])
+@pytest.mark.parametrize("make_drift, error", [
+    pytest.param(lambda g, times: _nan_from_step_5(), DriftBlowup, id="non-finite-at-step-5"),
+    pytest.param(lambda g, times: _raises_value_error, ValueError, id="drift-raises"),
+    pytest.param(lambda g, times: _ou_table(g, times[:3]), TimeNotStored, id="time-not-stored"),
+    pytest.param(lambda g, times: _ou_table(Grid1D(-1.0, 1.0, 11), times), ExcessiveClamping,
+                 id="excessive-clamping"),
+])
+def test_no_thread_outlives_a_failed_sampler_call(grid, sample, make_drift, error):
+    times = np.linspace(0.0, 1.0, 41)
+    drift = make_drift(grid, times)
+    before = threading.active_count()
+    with pytest.raises(error):
+        sample(drift, gaussian_density(grid, 0.0, 0.5), 1.0, times, 2 * BLOCK_SIZE + 3, seed=4)
+    assert threading.active_count() == before
+
+
+def test_a_drift_exception_propagates_unchanged(grid):
+    raised = ValueError("drift failed")
+
+    def drift(x, t):
+        raise raised
+
+    with pytest.raises(ValueError) as info:
+        sample_forward(drift, point_start(grid), 1.0, np.linspace(0.0, 1.0, 5), 10, seed=1)
+    assert info.value is raised
+
+
+class _Failure(Exception):
+    pass
+
+
+class _NormalsFailAt:
+    """A block generator whose standard_normal raises _Failure from call number fail_at on."""
+
+    def __init__(self, rng, fail_at):
+        self._rng, self._calls, self._fail_at = rng, 0, fail_at
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls >= self._fail_at:
+            raise _Failure("normal draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fail_at", [1, 4])
+@pytest.mark.parametrize("sample", [sample_forward, sample_backward])
+def test_a_failure_in_the_helper_thread_reaches_the_caller(grid, monkeypatch, sample, fail_at):
+    blocks = sde._block_generator
+    monkeypatch.setattr(sde, "_block_generator",
+                        lambda seed, b: _NormalsFailAt(blocks(seed, b), fail_at))
+    raised = []
+
+    def call():
+        try:
+            sample(ZERO, point_start(grid), 1.0, np.linspace(0.0, 1.0, 21), 10, seed=1)
+        except _Failure as exc:
+            raised.append(exc)
+
+    # the sampler runs on a daemon thread, so a sampler left waiting fails the test, not the run
+    before = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive(), "the sampler waits for a row the helper thread never filled"
+    assert [str(exc) for exc in raised] == ["normal draw failed"]
+    assert threading.active_count() == before
