@@ -18,7 +18,6 @@ from .bridge import (
     BridgeSolution,
     HalfBridgeModel,
     bridge_density,
-    bridge_drift,
     bridge_drift_fields,
     floor_density,
     half_bridge,
@@ -54,12 +53,10 @@ from .quantum import (
     QuantumModel,
     WavefunctionPath,
     collapse,
-    crank_nicolson_step,
     drifts,
     energy,
     evolve,
     finite_action,
-    gradient_norm_sq,
     hjb_residual,
     norm_l2,
     normalize_wavefunction,
@@ -72,7 +69,6 @@ from .sde import (
     PathEnsemble,
     duality_check,
     empirical_density,
-    empirical_energy,
     generator_check,
     path_entropy_backward,
     path_entropy_forward,

@@ -268,15 +268,6 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
     return out
 
 
-def bridge_drift(sol: BridgeSolution, t: float) -> ScalarField:
-    """Forward drift of the bridge at time t: sigma2 * grad log phi(., t).
-
-    t must lie in [t0, t1]; the finite log phi1 is propagated directly over
-    [t, t1], so log phi stays finite and only an overflowing gradient fails.
-    """
-    return bridge_drift_fields(sol, [t])[0]
-
-
 @dataclass(frozen=True)
 class HalfBridgeModel:
     """Reverse-time model after conditioning on a terminal density.
@@ -336,9 +327,11 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
 
 
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:
-    """bridge_drift at each of the given times, to feed a time-indexed drift to the samplers.
+    """Forward drifts sigma2 * grad log phi(., t) of the bridge at each of the given times.
 
-    One propagation of log phi1 over all the spans t1 - t, one gradient over the stack.
+    Each t must lie in [t0, t1]. One propagation of the finite log phi1 over all the
+    spans t1 - t, so log phi stays finite and only an overflowing gradient fails, then
+    one gradient over the stack; the fields feed a time-indexed drift to the samplers.
     """
     p = sol.problem
     grid = p.kernel.grid

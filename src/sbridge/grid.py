@@ -186,12 +186,6 @@ def integrate(f) -> float:
     return float(np.dot(f.grid.weights, f.values))
 
 
-def inner(f, g) -> float:
-    """Quadrature pairing <f, g> = sum_i w_i f_i g_i."""
-    require_same_grid(f, g)
-    return float(np.dot(f.grid.weights, f.values * g.values))
-
-
 def interp_uniform(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
     """np.interp(x, grid.points, values), with the cell found from (x - x_min)/h.
 

@@ -10,10 +10,9 @@ box modes of families.box_mode are exact eigenvectors. evolve builds the
 step's factor once, a partitioned solve from numpy alone (_cayley), and
 writes each step into one row of a time-major array, which a
 WavefunctionPath stores. On top of the evolved wavefunctions sit Nelson's
-drifts of a state (the forward and backward ones stored, the current and
-osmotic ones built from them), the terminal reconditioning of a path on a
-new terminal density, the log-ratio transport residual, the collapse
-operator and the gradient-action diagnostic.
+forward and backward drifts of a state, the terminal reconditioning of a
+path on a new terminal density, the log-ratio transport residual, the
+collapse operator and the gradient-action diagnostic.
 """
 
 from __future__ import annotations
@@ -124,23 +123,24 @@ def _dirichlet_apply_h(model: QuantumModel, values: np.ndarray) -> np.ndarray:
     <psi, H psi> is conserved exactly along the evolution.
     """
     diag, off = _dirichlet_bands(model)
-    inner = values[..., 1:-1]
-    out = diag * inner
-    out[..., :-1] += off * inner[..., 1:]
-    out[..., 1:] += off * inner[..., :-1]
+    interior = values[..., 1:-1]
+    out = diag * interior
+    out[..., :-1] += off * interior[..., 1:]
+    out[..., 1:] += off * interior[..., :-1]
     return out
 
 
 def _cayley(model: QuantumModel, dt: float):
-    """Return step(src), crank_nicolson_step of the state src with (I + theta H) factored once.
+    """Return step(src), the implicit-midpoint step of the state src over dt (dt < 0 runs back).
 
-    theta = i dt/(2 hbar); the step is 2 (I + theta H)^-1 - I = (I + theta H)^-1 (I - theta H)
-    on the interior, and the walls pass the endpoint entries through. The unknowns run in
-    blocks of _CAYLEY_SEGMENT and a separator, the last one padded with identity rows. The
-    segments are inverted as a stack, their tridiagonal Schur complement on the separators
-    once; a step costs about 32 n + (n/33)^2 complex products. No inverse is singular or
-    large: a segment's matrix is normal with eigenvalues 1 + theta lambda, lambda real, and
-    the inverse of the Schur complement is a block of (I + theta H)^-1; each has norm <= 1.
+    theta = i dt/(2 hbar), and (I + theta H) is factored once for every step of evolve; the
+    step is 2 (I + theta H)^-1 - I = (I + theta H)^-1 (I - theta H) on the interior, and the
+    walls pass the endpoint entries through. The unknowns run in blocks of _CAYLEY_SEGMENT
+    and a separator, the last one padded with identity rows. The segments are inverted as a
+    stack, their tridiagonal Schur complement on the separators once; a step costs about
+    32 n + (n/33)^2 complex products. No inverse is singular or large: a segment's matrix is
+    normal with eigenvalues 1 + theta lambda, lambda real, and the inverse of the Schur
+    complement is a block of (I + theta H)^-1; each has norm <= 1.
     """
     require_finite_positive(abs(dt), "time step |dt|")
     h_diag, h_off = _dirichlet_bands(model)
@@ -180,25 +180,6 @@ def _cayley(model: QuantumModel, dt: float):
         return out
 
     return step
-
-
-def crank_nicolson_step(psi: ComplexField, model: QuantumModel, dt: float) -> ComplexField:
-    """One implicit-midpoint step of duration dt (negative dt runs backward).
-
-    Solves (I + i dt/(2 hbar) H) psi' = (I - i dt/(2 hbar) H) psi on the
-    interior nodes with the tridiagonal Dirichlet Hamiltonian H, walls at
-    x_min and x_max. The endpoint entries pass through unchanged, so the
-    step is exactly unitary in the trapezoid norm of norm_l2, step(-dt)
-    inverts step(+dt) exactly on every entry, and box_mode is an exact
-    eigenvector. This is the one-step case of evolve.
-
-    Each call builds the whole block factor of (I + i dt/(2 hbar) H) for its
-    one step: at n = 2001 the factor takes 50 to 60 times as long as the
-    step it serves (about 5 ms against 80 to 110 us on 2 x86 vCPUs). To take
-    many steps of one (model, dt), call evolve, which builds the factor once.
-    """
-    require_same_grid(psi, model)
-    return ComplexField(model.grid, _cayley(model, dt)(psi.values))
 
 
 def _norm_sq(grid: Grid1D, values: np.ndarray):
@@ -261,8 +242,8 @@ class WavefunctionPath:
 def norm_l2(psi: ComplexField) -> float:
     """Trapezoid L2 norm sqrt(integral |psi|^2 dx).
 
-    This is the norm crank_nicolson_step conserves: its walls sit at x_min
-    and x_max, where the trapezoid weight is h/2 and the entries never change.
+    This is the norm the Cayley step of evolve conserves: its walls sit at
+    x_min and x_max, where the trapezoid weight is h/2 and the entries never change.
     """
     return float(np.sqrt(_norm_sq(psi.grid, psi.values)))
 
@@ -319,23 +300,14 @@ class DriftDecomposition:
     """Nelson's forward (beta) and backward (gamma) drifts of one state, and their node mask.
 
     beta = v + u and gamma = v - u are stored, read-only, and a GridDrift views
-    them without a copy; the current drift v = (beta + gamma)/2 and the osmotic
-    drift u = (beta - gamma)/2 are built on each access, and v - i u is the
-    complex drift. mask (read-only) marks points safely away from nodes;
-    flagged points carry zeros.
+    them without a copy; Nelson's current drift is v = (beta + gamma)/2, his
+    osmotic drift u = (beta - gamma)/2, and v - i u is the complex drift. mask
+    (read-only) marks points safely away from nodes; flagged points carry zeros.
     """
 
     beta: ScalarField
     gamma: ScalarField
     mask: np.ndarray
-
-    @property
-    def v(self) -> ScalarField:
-        return ScalarField(self.beta.grid, (self.beta.values + self.gamma.values) / 2)
-
-    @property
-    def u(self) -> ScalarField:
-        return ScalarField(self.beta.grid, (self.beta.values - self.gamma.values) / 2)
 
 
 def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
@@ -405,7 +377,7 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
         S(phi) = (phi^{k+1} - phi^k)/dt + (i/hbar) H phi^{k+1/2},
         residual = S(tilde_psi)/tilde_psi^{k+1/2} - S(psi)/psi^{k+1/2},
 
-    with H the Dirichlet operator of crank_nicolson_step and phi^{k+1/2} the
+    with H the Dirichlet operator of the Cayley step and phi^{k+1/2} the
     mean of the two states. S is the Crank-Nicolson equation itself, so it
     vanishes on the interior nodes for every path evolve produces: for two
     solutions of the same model the residual is zero up to roundoff, on any
@@ -500,11 +472,6 @@ def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
 
     chi_psi = np.where(mask, psi.values, 0.0)
     return normalize_wavefunction(ComplexField(grid, chi_psi)), float(p1)
-
-
-def gradient_norm_sq(psi: ComplexField) -> float:
-    """Squared L2 norm of the spatial derivative, integral of |psi'|^2 dx."""
-    return float(_norm_sq(psi.grid, _gradient_values(psi.values, psi.grid.h)))
 
 
 def finite_action(path: WavefunctionPath) -> float:

@@ -15,9 +15,8 @@ marginals, or backward drifts + terminal marginals); both totals must agree.
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +52,8 @@ class PathEnsemble:
     """Sampled trajectories on a common time grid.
 
     positions has shape (n_paths, n_times), in increasing-time order whatever
-    the simulation direction. It views time-major storage (positions given in
-    another layout are copied), so each column positions[:, k] is contiguous.
+    the simulation direction. It views time-major float storage (other layouts,
+    dtypes and nested lists are copied), so each column positions[:, k] is contiguous.
     sigma2 is the diffusion coefficient the paths were sampled with.
     """
 
@@ -66,18 +65,19 @@ class PathEnsemble:
 
     def __post_init__(self):
         times = require_time_grid(self.times, 2)
-        if self.positions.ndim != 2 or self.positions.shape[1] != times.shape[0]:
+        positions = np.asarray(self.positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != times.shape[0]:
             raise ValueError("positions must be (n_paths, n_times)")
-        if self.positions.shape[0] < 1:
+        if positions.shape[0] < 1:
             raise EmptyEnsemble("need n_paths >= 1")
         # min and max propagate NaN and inf without a full-size temporary
-        if not np.isfinite(self.positions.min()) or not np.isfinite(self.positions.max()):
+        if not np.isfinite(positions.min()) or not np.isfinite(positions.max()):
             raise ValueError("positions must be finite")
         _require_sigma2(self.sigma2)
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", np.ascontiguousarray(self.positions.T).T)
+        object.__setattr__(self, "positions", np.ascontiguousarray(positions.T).T)
 
     @property
     def n_paths(self) -> int:
@@ -127,10 +127,6 @@ class GridDrift:
         self.n_clamped += cells.n_out
         row = self.table[self._time_slot(t)]
         return cells.lerp(row, _slopes(self.grid, row), out)
-
-    @property
-    def clamp_fraction(self) -> float:
-        return self.n_clamped / self.n_eval if self.n_eval else 0.0
 
 
 def _read(drift, cells, x, t, out) -> np.ndarray:
@@ -418,12 +414,6 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
     )
 
 
-def empirical_energy(ens: PathEnsemble, drift) -> float:
-    """Diagnostic E of the integral of drift^2 dt along the ensemble."""
-    return float(path_integral(
-        ens, lambda x, t: np.asarray(drift(x, t), dtype=float) ** 2).mean())
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """One Girsanov decomposition of a path-space relative entropy.
@@ -438,9 +428,6 @@ class EntropyReport:
     total: float
     direction: str
     mc_std_error: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyReport:

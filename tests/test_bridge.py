@@ -12,7 +12,6 @@ from sbridge.bridge import (
     BridgeProblem,
     BridgeSolution,
     bridge_density,
-    bridge_drift,
     bridge_drift_fields,
     floor_density,
     half_bridge,
@@ -119,7 +118,7 @@ def test_trivial_bridge_drift_is_prior_drift(setup):
     rho0 = gaussian_density(grid, 0.0, 0.5)
     rho1 = normalize(wiener_marginal_flow(rho0, [0.0, 1.0], 1.0)[-1])
     sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 1.0), tol=1e-12)
-    drift = bridge_drift(sol, 0.5)
+    drift = bridge_drift_fields(sol, [0.5])[0]
     bulk = np.abs(grid.points) <= 3.0
     assert np.max(np.abs(drift.values[bulk])) < 1e-8
 
@@ -133,7 +132,7 @@ def test_pinned_bridge_drift_matches_brownian_bridge():
     rho1 = gaussian_density(grid, 0.0, 1e-3)
     sol = solve_schrodinger_system(BridgeProblem(rho0, rho1, kernel, 1.0), tol=1e-10)
     for t in (0.3, 0.5, 0.7):
-        drift = bridge_drift(sol, t)
+        drift = bridge_drift_fields(sol, [t])[0]
         sel = (np.abs(grid.points) >= 0.3) & (np.abs(grid.points) <= 1.5)
         expected = -grid.points[sel] / (1.0 - t)
         rel = np.abs(drift.values[sel] - expected) / np.abs(expected)
@@ -142,7 +141,7 @@ def test_pinned_bridge_drift_matches_brownian_bridge():
 
 def test_gaussian_bridge_drift_is_affine(setup):
     grid, _, _, sol = setup
-    drift = bridge_drift(sol, 0.5)
+    drift = bridge_drift_fields(sol, [0.5])[0]
     bulk = np.abs(grid.points) <= 2.5
     x = grid.points[bulk]
     y = drift.values[bulk]
@@ -193,8 +192,8 @@ def test_time_reversal_matches_independently_solved_reverse(setup):
 def test_reversed_drift_satisfies_duality(setup):
     grid, kernel, problem, sol = setup
     t = 0.5  # symmetric instant; t' = t0 + t1 - t = t
-    fwd_rev = bridge_drift(time_reverse(sol), t)
-    fwd_orig = bridge_drift(sol, t)
+    fwd_rev = bridge_drift_fields(time_reverse(sol), [t])[0]
+    fwd_orig = bridge_drift_fields(sol, [t])[0]
     rho_t = bridge_density(sol, t)
     # backward drift of the original by the drift/density duality
     gamma_orig = fwd_orig.values - 1.0 * log_gradient(rho_t).values
@@ -215,8 +214,8 @@ def test_gauge_freedom_leaves_observables_unchanged(setup):
     d1 = bridge_density(sol, 0.5)
     d2 = bridge_density(rescaled, 0.5)
     assert np.max(np.abs(d1.values - d2.values)) < 1e-12
-    b1 = bridge_drift(sol, 0.5)
-    b2 = bridge_drift(rescaled, 0.5)
+    b1 = bridge_drift_fields(sol, [0.5])[0]
+    b2 = bridge_drift_fields(rescaled, [0.5])[0]
     assert np.max(np.abs(b1.values - b2.values)) < 1e-12
 
 
@@ -280,7 +279,7 @@ def test_drift_fields_match_per_time_drift(setup):
     times = np.linspace(0.0, 1.0, 11)
     for sl in (sol, time_reverse(sol)):
         for t, f in zip(times, bridge_drift_fields(sl, times)):
-            assert np.array_equal(f.values, bridge_drift(sl, t).values)
+            assert np.array_equal(f.values, bridge_drift_fields(sl, [t])[0].values)
 
 
 def test_flow_rows_equal_single_time_flows():
@@ -421,7 +420,7 @@ def test_times_outside_the_problem_interval_are_rejected(setup):
     with pytest.raises(TimeMismatch):
         bridge_drift_fields(sol, [0.5, 1.5])
     with pytest.raises(TimeMismatch):
-        bridge_drift(sol, -0.5)
+        bridge_drift_fields(sol, [-0.5])
     with pytest.raises(TimeMismatch):
         bridge_density(sol, np.nan)
 
@@ -484,7 +483,7 @@ def test_solver_potentials_and_drifts_are_finite(problem):
         assume(False)
     assert np.all(np.isfinite(sol.log_phi1)) and np.all(np.isfinite(sol.log_phihat0))
     for t in (0.0, 0.5, 1.0):
-        assert np.all(np.isfinite(bridge_drift(sol, t).values))
+        assert np.all(np.isfinite(bridge_drift_fields(sol, [t])[0].values))
 
 
 def test_floor_that_underflows_is_refused():

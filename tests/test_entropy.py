@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -235,9 +237,7 @@ def test_report_serialization(grid):
     rep = path_entropy_forward(
         rho, rho, lambda x, t: np.zeros_like(x), lambda x, t: np.zeros_like(x), ens, 1.0
     )
-    import json
-
-    blob = json.loads(rep.to_json())
+    blob = dataclasses.asdict(rep)
     assert set(blob) == {"static_term", "kinetic_term", "total", "direction", "mc_std_error"}
     assert blob["direction"] == "forward"
     assert blob["total"] == blob["static_term"] + blob["kinetic_term"]

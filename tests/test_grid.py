@@ -13,7 +13,6 @@ from sbridge.grid import (
     ScalarField,
     gradient,
     integrate,
-    inner,
     interp_uniform,
     l1_distance,
     laplacian,
@@ -181,8 +180,6 @@ def test_grid_mismatch_is_hard_error():
     g2 = Grid1D(0.0, 1.0, 21)
     with pytest.raises(GridMismatch):
         require_same_grid(ScalarField(g1, np.ones(11)), ScalarField(g2, np.ones(21)))
-    with pytest.raises(GridMismatch):
-        inner(ScalarField(g1, np.ones(11)), ScalarField(g2, np.ones(21)))
     g = Grid1D(-8.0, 8.0, 101)
     tight = ScalarField(g, np.exp(-g.points**2))
     assert l1_distance(tight, tight) == 0.0

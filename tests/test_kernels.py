@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from scipy.special import erf
 
 from sbridge.errors import InvalidInterval, TruncationWarning
-from sbridge.grid import Grid1D, ScalarField, inner, integrate, normalize
+from sbridge.grid import Grid1D, ScalarField, integrate, normalize
 from sbridge.kernels import _MAX_VARIANCE, TransitionKernel, heat_kernel, log_heat_propagate
 
 from oracles import heat_matrix
@@ -168,8 +168,9 @@ def test_adjoint_duality_pairing(grid, k01, seed):
     rng = np.random.default_rng(seed)
     f = ScalarField(grid, rng.uniform(0.0, 1.0, grid.n_points))
     g = ScalarField(grid, rng.uniform(0.0, 1.0, grid.n_points))
-    lhs = inner(propagate(g, k01.variance), f)
-    rhs = inner(g, propagate(f, k01.variance))
+    # the quadrature pairing <a, b> = sum_i w_i a_i b_i
+    lhs = np.dot(grid.weights, propagate(g, k01.variance).values * f.values)
+    rhs = np.dot(grid.weights, g.values * propagate(f, k01.variance).values)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 

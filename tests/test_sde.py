@@ -23,7 +23,6 @@ from sbridge.sde import (
     PathEnsemble,
     duality_check,
     empirical_density,
-    empirical_energy,
     generator_check,
     path_integral,
     sample_backward,
@@ -254,7 +253,7 @@ def test_grid_drift_interpolation_and_clamping(grid):
     assert np.allclose(drift(x, 0.0), x)
     assert np.allclose(drift(x, 1.0), 2 * x)
     assert np.allclose(drift(x, 0.4), x)  # nearest-neighbor lookup in time
-    assert drift.clamp_fraction == 0.0
+    assert drift.n_clamped == 0
     drift(np.array([11.0]), 0.0)
     assert drift.n_clamped == 1
     for t in (5.0, np.nan):
@@ -363,13 +362,21 @@ def test_ensemble_validation(grid):
         with pytest.raises(ValueError, match="sigma2"):
             PathEnsemble(five, np.zeros((4, 5)), bad, 0, "forward")
     assert PathEnsemble(five, np.zeros((4, 5)), 0.0, 0, "forward").sigma2 == 0.0
+    # positions as nested lists: a well-shaped one builds, as time-major floats
+    listed = PathEnsemble(five, [[0.0] * 5] * 4, 1.0, 0, "forward")
+    assert listed.positions.dtype == float and listed.positions.T.flags.c_contiguous
+    # ragged, non-numeric and wrongly shaped positions are a ValueError
+    for bad in ([[0.0] * 5, [0.0] * 4], [["a"] * 5] * 4, [[0.0] * 4] * 4, [0.0] * 5, [[[0.0] * 5]]):
+        with pytest.raises(ValueError):
+            PathEnsemble(five, bad, 1.0, 0, "forward")
 
 
 def test_empirical_energy_constant_drift(grid):
     times = np.linspace(0.0, 1.0, 101)
     ens = sample_forward(lambda x, t: np.full_like(x, 2.0), point_start(grid),
                          1e-12, times, 10, seed=37)
-    assert empirical_energy(ens, lambda x, t: np.full_like(x, 2.0)) == pytest.approx(4.0)
+    drift = lambda x, t: np.full_like(x, 2.0)
+    assert path_integral(ens, lambda x, t: drift(x, t) ** 2).mean() == pytest.approx(4.0)
 
 
 def _ou_table(grid, times):
