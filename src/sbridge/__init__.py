@@ -2,7 +2,7 @@
 
 Classical side: the Wiener heat kernel and its log-domain propagator, the
 Fortet/Sinkhorn solver for the two-marginal potential system, bridge
-densities and drifts, half bridges, and the relative entropy: the
+densities and drifts, the prior's marginal flow, and the relative entropy: the
 Kullback-Leibler divergence of two densities (grid) and its Girsanov split
 along an ensemble (sde), marginal divergence plus drift-mismatch integral.
 Quantum side: a norm- and reversibility-exact Schrodinger solver, Nelson
@@ -16,11 +16,9 @@ from . import errors
 from .bridge import (
     BridgeProblem,
     BridgeSolution,
-    HalfBridgeModel,
     bridge_density,
     bridge_drift_fields,
     floor_density,
-    half_bridge,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,

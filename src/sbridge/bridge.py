@@ -4,7 +4,8 @@ Solves the coupled harmonic/co-harmonic pair with prescribed marginal
 boundary conditions by alternating rescaling against the marginals
 (iterative proportional fitting on the Wiener kernel), iterated in the log
 domain for stability. Exposes the bridge's time-t density, its forward
-drift, the one-marginal half bridge, and exact time reversal.
+drift, exact time reversal, and the marginals and backward drift of the
+Wiener prior itself.
 
 The rescaling is over-relaxed (Thibault, Chizat, Dossal and Papadakis 2021;
 Lehmann, von Renesse, Sambale and Uschmajew 2022): each log-potential moves
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MassDefectWarning, NoConvergence, TimeMismatch
+from .errors import MassDefectWarning, NoConvergence, TimeNotStored
 from .grid import (
     DENSITY_FLOOR,
     DensityField,
@@ -47,7 +48,6 @@ from .grid import (
     _gradient_values,
     _log_gradient_values,
     integrate,
-    kl_divergence,
     l1_distance,
     normalize,
     require_count,
@@ -185,9 +185,10 @@ def solve_schrodinger_system(
     The potentials stay finite: the floored marginals have finite logs,
     log_heat_propagate keeps finite logs finite, and each update is an
     affine combination of finite logs. Raises NoConvergence with the last
-    residual when max_iter is exhausted.
+    residual when max_iter is exhausted; tol must be finite and positive.
     """
     require_count(max_iter, 1, "max_iter")
+    require_finite_positive(tol, "tol")
     grid, sigma2, span = problem.kernel.grid, problem.sigma2, problem.t1 - problem.t0
     log_rho0 = np.log(problem.rho0.values)
     log_rho1 = np.log(problem.rho1.values)
@@ -231,11 +232,11 @@ def solve_schrodinger_system(
 
 
 def _check_partition(sol: BridgeSolution, t) -> float:
-    """t, snapped to t0 or t1 within 1e-12 * max(span, 1); TimeMismatch outside [t0, t1]."""
+    """t, snapped to t0 or t1 within 1e-12 * max(span, 1); TimeNotStored outside [t0, t1]."""
     p = sol.problem
     tol = 1e-12 * max(1.0, abs(p.t1 - p.t0))
     if not p.t0 - tol <= t <= p.t1 + tol:
-        raise TimeMismatch(f"time {t} lies outside [{p.t0}, {p.t1}]")
+        raise TimeNotStored(f"time {t} lies outside [{p.t0}, {p.t1}]")
     if abs(t - p.t0) <= tol:
         return p.t0
     return p.t1 if abs(t - p.t1) <= tol else t
@@ -266,52 +267,6 @@ def bridge_density(sol: BridgeSolution, t: float) -> DensityField:
             stacklevel=2,
         )
     return out
-
-
-@dataclass(frozen=True)
-class HalfBridgeModel:
-    """Reverse-time model after conditioning on a terminal density.
-
-    The backward drift of the reference model is kept unchanged; only the
-    terminal density is replaced. optimal_value is the attained relative
-    entropy, the marginal divergence at t1.
-    """
-
-    backward_drift: object
-    rho1: DensityField
-    t0: float
-    t1: float
-    sigma2: float
-    optimal_value: float
-
-
-def half_bridge(
-    prior_marginal_t1: DensityField,
-    prior_backward_drift,
-    rho1: DensityField,
-    t0: float,
-    t1: float,
-    sigma2: float,
-) -> HalfBridgeModel:
-    """Condition a reference diffusion on a new terminal density only.
-
-    The entropy-optimal update keeps the reference backward drift and swaps
-    in rho1 at t1; the optimal value is the static divergence of rho1 from
-    the reference terminal marginal. The result feeds sde.sample_backward.
-    t0 < t1 must both be finite and sigma2 finite and positive; kl_divergence
-    raises SupportViolation or InfiniteEntropy for a value it cannot give.
-    """
-    require_time_grid((t0, t1), 2)
-    require_finite_positive(sigma2, "sigma2")
-    value = kl_divergence(rho1, prior_marginal_t1)
-    return HalfBridgeModel(
-        backward_drift=prior_backward_drift,
-        rho1=rho1,
-        t0=t0,
-        t1=t1,
-        sigma2=sigma2,
-        optimal_value=value,
-    )
 
 
 def time_reverse(sol: BridgeSolution) -> BridgeSolution:
@@ -371,8 +326,10 @@ def wiener_backward_drift_fields(rho0: DensityField, times, sigma2: float) -> li
     """Backward drifts -sigma2 * grad log rho(., t) of the Wiener prior from rho0.
 
     By the forward/backward duality with zero forward drift, this is the drift
-    that a reverse-time sampler of the prior (or of a half bridge over it)
-    must use. The log gradient is taken over the whole stack of marginals.
+    that a reverse-time sampler of the prior must use. The half bridge, the
+    prior conditioned on a terminal density rho1 alone, keeps this backward
+    drift; its relative entropy is kl_divergence(rho1, prior marginal at t1).
+    The log gradient is taken over the whole stack of marginals.
     """
     grid = rho0.grid
     drifts = _log_gradient_values(_wiener_flow_values(rho0, times, sigma2), grid.h)

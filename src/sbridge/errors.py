@@ -10,20 +10,16 @@ class GridMismatch(ToolkitError):
 
 
 class NonPositiveMass(ToolkitError):
-    """Normalization requested for a field with nonpositive mass or negative values."""
+    """Normalization requested for negative values or nonpositive mass, the zero state too."""
 
 
 class InvalidInterval(ToolkitError, ValueError):
     """A time grid or interval is not 1-D, finite and strictly increasing, or too short.
 
     grid.require_time_grid raises it for every time grid and for the
-    interval [s, t] of a transition kernel or a half bridge. It is also a
-    ValueError, the error any other invalid argument raises.
+    interval [s, t] of a transition kernel. It is also a ValueError, the
+    error any other invalid argument raises.
     """
-
-
-class TimeMismatch(ToolkitError):
-    """A requested time lies outside the interval of a bridge."""
 
 
 class NoConvergence(ToolkitError):
@@ -38,7 +34,7 @@ class NoConvergence(ToolkitError):
 
 
 class InfiniteEntropy(ToolkitError):
-    """grid.kl_divergence overflowed, for half_bridge and the Girsanov split too.
+    """grid.kl_divergence overflowed, for the Girsanov split too.
 
     Its floor bounds log(p/q) by about 70 + log(2n), so only p near 1e306 (a
     grid spacing of about 1e-306 or less) makes p log(p/q) overflow.
@@ -47,10 +43,6 @@ class InfiniteEntropy(ToolkitError):
 
 class SupportViolation(ToolkitError):
     """First argument carries mass where the second argument has none."""
-
-
-class EmptyEnsemble(ToolkitError):
-    """Operation requires at least one sampled trajectory."""
 
 
 class ZeroProbabilityRegion(ToolkitError):
@@ -62,7 +54,11 @@ class DriftBlowup(ToolkitError):
 
 
 class TimeNotStored(ToolkitError):
-    """Requested time is not on a stored time grid."""
+    """A requested time lies outside the times an object covers.
+
+    Off the stored times of a path, beyond the stored range of a drift
+    table, or outside the interval [t0, t1] of a bridge.
+    """
 
 
 class TerminalMismatch(ToolkitError):

@@ -74,6 +74,10 @@ def box_mode(grid: Grid1D, n_mode: int = 1) -> ComplexField:
 
 
 def box_mode_energy(grid: Grid1D, n_mode: int, hbar: float, m: float) -> float:
+    """Energy hbar^2 k^2 / (2 m), k = n pi / L, of the n-th box mode."""
+    require_count(n_mode, 1, "n_mode")
+    require_finite_positive(hbar, "hbar")
+    require_finite_positive(m, "m")
     k = n_mode * np.pi / (grid.x_max - grid.x_min)
     return hbar**2 * k**2 / (2.0 * m)
 

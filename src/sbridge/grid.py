@@ -8,6 +8,7 @@ divergence sit with the floor and stray-mass rules they read.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +36,8 @@ class Grid1D:
 
     def __post_init__(self):
         require_count(self.n_points, 3, "n_points")
-        require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
+        real = all(isinstance(end, numbers.Real) for end in (self.x_min, self.x_max))
+        require_finite_positive(self.x_max - self.x_min if real else None, "x_max - x_min")
         # a width of a few subnormals leaves an end weight of 0, whose log is -inf
         require_finite_positive(self.h / 2.0, "end weight h / 2")
 
@@ -92,10 +94,13 @@ class DensityField(ScalarField):
 
     mass_tol is the accepted deviation of the trapezoid integral from 1;
     pass mass_tol=None to skip the check (used for diagnostic densities
-    whose mass defect is itself the quantity under study).
+    whose mass defect is itself the quantity under study). Any other
+    mass_tol must be a real >= 0, else ValueError.
     """
 
     def __init__(self, grid: Grid1D, values, mass_tol: float | None = 1e-6):
+        if mass_tol is not None and not (isinstance(mass_tol, numbers.Real) and mass_tol >= 0):
+            raise ValueError(f"need mass_tol >= 0 or None, got {mass_tol!r}")
         super().__init__(grid, values)
         if np.any(self.values < 0):
             raise NonPositiveMass("density values must be nonnegative")
@@ -126,8 +131,8 @@ def require_same_grid(*objs):
 
 
 def require_finite_positive(value, what: str) -> None:
-    """Raise ValueError unless value is finite and > 0; what names it in the message."""
-    if not 0 < value < np.inf:
+    """Raise ValueError unless value is a finite real > 0; what names it in the message."""
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
         raise ValueError(f"need finite {what} > 0, got {value}")
 
 
@@ -145,7 +150,7 @@ def require_time_grid(times, min_len: int, equal_steps: bool = False) -> np.ndar
     This is the one test of a time grid: the stored times of ensembles, drift
     tables and wavefunction paths, the samplers' grids, the steps that
     quantum_bridge evolves back on, and the interval [s, t] of a transition
-    kernel or a half bridge, passed as two times.
+    kernel, passed as two times.
     """
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.shape[0] < min_len or not np.isfinite(times).all()

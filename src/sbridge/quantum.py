@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     BoundaryMassWarning,
-    GridMismatch,
     NonPositiveMass,
     TerminalMismatch,
     ZeroProbabilityRegion,
@@ -251,7 +250,7 @@ def norm_l2(psi: ComplexField) -> float:
 def normalize_wavefunction(psi: ComplexField) -> ComplexField:
     nrm = norm_l2(psi)
     if nrm == 0:
-        raise ZeroProbabilityRegion("cannot normalize the zero state")
+        raise NonPositiveMass("cannot normalize the zero state")
     return ComplexField(psi.grid, psi.values / nrm)
 
 
@@ -386,9 +385,11 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     state has a node (density above NODE_FLOOR times its peak), weighted by
     the trapezoid weights and the step lengths. Also asserts the terminal
     ratio is real positive (phase invariance at t1) within TERMINAL_PHASE_TOL.
+    Paths on different grids raise GridMismatch; another hbar, m or V, ValueError.
     """
+    require_same_grid(path.model, tilde_path.model)
     if not path.model.matches(tilde_path.model):
-        raise GridMismatch("paths evolve under different models")
+        raise ValueError("paths evolve under different models")
     if path.times.shape != tilde_path.times.shape or not np.allclose(
         path.times, tilde_path.times, rtol=0, atol=_time_tol(path.times)
     ):

@@ -15,12 +15,13 @@ marginals, or backward drifts + terminal marginals); both totals must agree.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriftBlowup, EmptyEnsemble, ExcessiveClamping, TimeNotStored
+from .errors import DriftBlowup, ExcessiveClamping, TimeNotStored
 from .grid import (
     DensityField,
     Grid1D,
@@ -66,10 +67,8 @@ class PathEnsemble:
     def __post_init__(self):
         times = require_time_grid(self.times, 2)
         positions = np.asarray(self.positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != times.shape[0]:
-            raise ValueError("positions must be (n_paths, n_times)")
-        if positions.shape[0] < 1:
-            raise EmptyEnsemble("need n_paths >= 1")
+        if positions.ndim != 2 or positions.shape[0] < 1 or positions.shape[1] != times.shape[0]:
+            raise ValueError("positions must be (n_paths >= 1, n_times)")
         # min and max propagate NaN and inf without a full-size temporary
         if not np.isfinite(positions.min()) or not np.isfinite(positions.max()):
             raise ValueError("positions must be finite")
@@ -205,8 +204,8 @@ class _Increments:
 
 
 def _require_sigma2(sigma2) -> None:
-    """ValueError unless sigma2 is finite and >= 0 (sigma2 = 0 is the noiseless ODE)."""
-    if not 0 <= sigma2 < np.inf:
+    """ValueError unless sigma2 is a finite real >= 0 (sigma2 = 0 is the noiseless ODE)."""
+    if not (isinstance(sigma2, numbers.Real) and 0 <= sigma2 < np.inf):
         raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
 
 
@@ -229,8 +228,6 @@ def _mc_mean(samples: np.ndarray) -> tuple[float, float]:
 
 def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
     times = require_time_grid(times, 2)
-    if n_paths < 1:
-        raise EmptyEnsemble("need n_paths >= 1")
     require_count(n_paths, 1, "n_paths")
     require_count(seed, 0, "seed")
     _require_sigma2(sigma2)

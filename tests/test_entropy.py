@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from sbridge.bridge import half_bridge
 from sbridge.errors import InfiniteEntropy, SupportViolation
 from sbridge.families import gaussian_density
 from sbridge.grid import DensityField, Grid1D, ScalarField, kl_divergence, normalize
@@ -265,7 +264,6 @@ def _overflowing_pair():
                  id="path_entropy_forward"),
     pytest.param(lambda p, q, fwd, bwd: path_entropy_backward(p, q, _zero, _zero, bwd, 1.0),
                  id="path_entropy_backward"),
-    pytest.param(lambda p, q, fwd, bwd: half_bridge(q, _zero, p, 0.0, 1.0, 1.0), id="half_bridge"),
 ])
 def test_overflowing_divergence_raises_infinite_entropy(call):
     point, spread = _overflowing_pair()

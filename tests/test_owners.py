@@ -14,17 +14,18 @@ import pytest
 import sbridge
 from sbridge.bridge import (
     BridgeProblem,
-    half_bridge,
     solve_schrodinger_system,
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from sbridge.errors import InvalidInterval
-from sbridge.families import box_mode, gaussian_density, gaussian_packet
-from sbridge.grid import Grid1D, ScalarField
+from sbridge.errors import GridMismatch, NonPositiveMass
+from sbridge.families import box_mode, box_mode_energy, gaussian_density, gaussian_packet
+from sbridge.grid import ComplexField, DensityField, Grid1D, ScalarField
 from sbridge.kernels import heat_kernel
-from sbridge.quantum import QuantumModel, WavefunctionPath, evolve, hjb_residual, quantum_bridge
-from sbridge.sde import duality_check, generator_check, sample_backward, sample_forward
+from sbridge.quantum import (QuantumModel, WavefunctionPath, evolve, hjb_residual,
+                             normalize_wavefunction, quantum_bridge)
+from sbridge.sde import (PathEnsemble, duality_check, generator_check, sample_backward,
+                         sample_forward)
 
 SRC = Path(sbridge.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -60,7 +61,7 @@ OWNERS = [
     ("log_heat_propagate(", "bridge.py", False),
     # the Cayley factor: quantum._cayley
     ("np.linalg.inv(segments)", "quantum.py", True),
-    # a divergence that overflows: grid.kl_divergence, for half_bridge and the Girsanov split
+    # a divergence that overflows: grid.kl_divergence, for the Girsanov split too
     ("raise InfiniteEntropy", "grid.py", True),
     # the one thread the package starts: the sampler's helper, sde._Increments
     ("threading.Thread(", "sde.py", True),
@@ -87,15 +88,12 @@ def _generator_check_at_4():
     return generator_check(ScalarField(GRID, GRID.points**2), ens, ZERO, 4.0)
 
 
+def _problem():
+    kernel = heat_kernel(GRID, 0.0, 1.0, 1.0)
+    return BridgeProblem(RHO, gaussian_density(GRID, 1.0, 1.0), kernel, 1.0)
+
+
 @pytest.mark.parametrize("call, error", [
-    pytest.param(lambda: half_bridge(RHO, ZERO, RHO, 1.0, 0.0, -1.0), InvalidInterval,
-                 id="half_bridge-reversed-interval-negative-sigma2"),
-    pytest.param(lambda: half_bridge(RHO, ZERO, RHO, 1.0, 0.0, 1.0), InvalidInterval,
-                 id="half_bridge-reversed-interval"),
-    pytest.param(lambda: half_bridge(RHO, ZERO, RHO, 0.0, np.nan, 1.0), InvalidInterval,
-                 id="half_bridge-nan-t1"),
-    pytest.param(lambda: half_bridge(RHO, ZERO, RHO, 0.0, 1.0, -1.0), ValueError,
-                 id="half_bridge-negative-sigma2"),
     pytest.param(lambda: wiener_marginal_flow(RHO, [0.0], np.nan), ValueError,
                  id="wiener_marginal_flow-one-time-nan-sigma2"),
     pytest.param(lambda: wiener_backward_drift_fields(RHO, [0.0], -1.0), ValueError,
@@ -104,6 +102,34 @@ def _generator_check_at_4():
                  id="duality_check-nan-sigma2"),
     pytest.param(_generator_check_at_4, ValueError,
                  id="generator_check-sigma2-other-than-the-ensembles"),
+    # None is refused as ValueError, never a TypeError from a comparison
+    pytest.param(lambda: heat_kernel(GRID, 0.0, 1.0, None), ValueError, id="heat_kernel-None"),
+    pytest.param(lambda: BridgeProblem(RHO, RHO, heat_kernel(GRID, 0.0, 1.0, 1.0), None),
+                 ValueError, id="BridgeProblem-None-sigma2"),
+    pytest.param(lambda: QuantumModel(None, 1.0, ScalarField(GRID, np.zeros(161)), GRID),
+                 ValueError, id="QuantumModel-None-hbar"),
+    pytest.param(lambda: gaussian_density(GRID, 0.0, None), ValueError,
+                 id="gaussian_density-None-var"),
+    pytest.param(lambda: sample_forward(ZERO, RHO, None, np.linspace(0.0, 1.0, 5), 10, seed=1),
+                 ValueError, id="sample_forward-None-sigma2"),
+    pytest.param(lambda: duality_check(ZERO, ZERO, RHO, None), ValueError,
+                 id="duality_check-None-sigma2"),
+    pytest.param(lambda: Grid1D(0.0, None, 5), ValueError, id="Grid1D-None-x_max"),
+    # a tolerance no residual can fall below, or that accepts any mass
+    pytest.param(lambda: solve_schrodinger_system(_problem(), tol=0.0), ValueError,
+                 id="solve_schrodinger_system-zero-tol"),
+    pytest.param(lambda: solve_schrodinger_system(_problem(), tol=np.nan), ValueError,
+                 id="solve_schrodinger_system-nan-tol"),
+    pytest.param(lambda: solve_schrodinger_system(_problem(), tol=-1e-9), ValueError,
+                 id="solve_schrodinger_system-negative-tol"),
+    pytest.param(lambda: DensityField(GRID, 2.0 * RHO.values, mass_tol=np.nan), ValueError,
+                 id="DensityField-nan-mass_tol"),
+    pytest.param(lambda: DensityField(GRID, RHO.values, mass_tol=-1.0), ValueError,
+                 id="DensityField-negative-mass_tol"),
+    pytest.param(lambda: box_mode_energy(GRID, 1, -1.0, 1.0), ValueError,
+                 id="box_mode_energy-negative-hbar"),
+    pytest.param(lambda: box_mode_energy(GRID, 1, 1.0, 0.0), ValueError,
+                 id="box_mode_energy-zero-m"),
 ])
 def test_sigma2_and_interval_checks_reach_every_caller(call, error):
     with pytest.raises(error):
@@ -113,12 +139,12 @@ def test_sigma2_and_interval_checks_reach_every_caller(call, error):
 def _count_calls():
     packet, free = gaussian_packet(GRID, 0.0, 1.0), QuantumModel.free(GRID)
     five = np.linspace(0.0, 1.0, 5)
-    kernel = heat_kernel(GRID, 0.0, 1.0, 1.0)
-    problem = BridgeProblem(RHO, gaussian_density(GRID, 1.0, 1.0), kernel, 1.0)
+    problem = _problem()
     return {
         "grid": lambda n: Grid1D(0.0, 1.0, n),
         "evolve": lambda n: evolve(packet, free, 0.0, 0.1, n),
         "box_mode": lambda n: box_mode(GRID, n),
+        "box_mode_energy": lambda n: box_mode_energy(GRID, n, 1.0, 1.0),
         "sample_forward": lambda n: sample_forward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_backward": lambda n: sample_backward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_forward seed": lambda s: sample_forward(ZERO, RHO, 1.0, five, 4, seed=s),
@@ -130,9 +156,10 @@ def _count_calls():
 @pytest.mark.parametrize("owner, n", [
     ("grid", 3.5), ("grid", 4.0), ("grid", True), ("grid", 2),
     ("evolve", 2.5), ("evolve", 0), ("evolve", True),
-    ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True),
-    ("sample_forward", 2.5), ("sample_forward", True),
-    ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
+    ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True), ("box_mode_energy", 0),
+    ("sample_forward", 2.5), ("sample_forward", True), ("sample_forward", None),
+    ("sample_forward", 0), ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
+    ("sample_backward", 0.5),
     ("sample_forward seed", None), ("sample_forward seed", 2.5),
     ("sample_forward seed", True), ("sample_forward seed", -1),
     ("sample_backward seed", None), ("sample_backward seed", -1),
@@ -143,8 +170,8 @@ def test_counts_are_refused_at_entry(owner, n):
         _count_calls()[owner](n)
 
 
-@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward",
-                                   "sample_forward seed"])
+@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "box_mode_energy",
+                                   "sample_forward", "sample_forward seed"])
 def test_numpy_integer_counts_are_counts(owner):
     _count_calls()[owner](np.int64(4))
 
@@ -166,6 +193,31 @@ def test_stored_time_tolerance_reaches_every_caller(call):
     # quantum_bridge returns equal steps for a path within the tolerance of
     # them, so every reader of the pair must accept its times
     call(*_nudged_path_pair())
+
+
+def _path_under(model):
+    return evolve(gaussian_packet(model.grid, 0.0, 1.0), model, 0.0, 0.1, 4)
+
+
+@pytest.mark.parametrize("call, error", [
+    # a model mismatch is a ValueError, or GridMismatch when the grids differ
+    pytest.param(lambda: hjb_residual(_path_under(QuantumModel.free(GRID)),
+                                      _path_under(QuantumModel.free(GRID, m=2.0))),
+                 ValueError, id="hjb_residual-other-m"),
+    pytest.param(lambda: hjb_residual(_path_under(QuantumModel.free(GRID)),
+                                      _path_under(QuantumModel.free(Grid1D(-8.0, 8.0, 81)))),
+                 GridMismatch, id="hjb_residual-other-grid"),
+    # normalizing zero mass is NonPositiveMass
+    pytest.param(lambda: normalize_wavefunction(ComplexField(GRID, np.zeros(GRID.n_points))),
+                 NonPositiveMass, id="normalize_wavefunction-zero-state"),
+    # an ensemble of no paths is a count below its minimum: ValueError
+    pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.empty((0, 5)), 1.0, 1,
+                                      "forward"),
+                 ValueError, id="PathEnsemble-no-rows"),
+])
+def test_each_condition_raises_one_class(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _imports(path: Path):
