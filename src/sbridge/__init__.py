@@ -1,15 +1,6 @@
 """Classical and quantum Schrodinger bridges on uniform 1-D grids.
 
-Classical side: the Wiener heat kernel and its log-domain propagator, the
-Fortet/Sinkhorn solver for the two-marginal potential system, bridge
-densities and drifts, the prior's marginal flow, and the relative entropy: the
-Kullback-Leibler divergence of two densities (grid) and its Girsanov split
-along an ensemble (sde), marginal divergence plus drift-mismatch integral.
-Quantum side: a norm- and reversibility-exact Schrodinger solver, Nelson
-current/osmotic drifts, the terminal reconditioning of a wavefunction path
-on a measured density, and the region-conditioning (collapse) operator.
-Euler-Maruyama sampling closes the loop between densities, drifts, and
-trajectories.
+The names below are the public API; each module's docstring describes its layer.
 """
 
 from . import errors
@@ -37,12 +28,9 @@ from .grid import (
     DensityField,
     Grid1D,
     ScalarField,
-    gradient,
     integrate,
     kl_divergence,
     l1_distance,
-    laplacian,
-    log_gradient,
     normalize,
 )
 from .kernels import TransitionKernel, heat_kernel

@@ -6,31 +6,6 @@ boundary conditions by alternating rescaling against the marginals
 domain for stability. Exposes the bridge's time-t density, its forward
 drift, exact time reversal, and the marginals and backward drift of the
 Wiener prior itself.
-
-The rescaling is over-relaxed (Thibault, Chizat, Dossal and Papadakis 2021;
-Lehmann, von Renesse, Sambale and Uschmajew 2022): each log-potential moves
-omega times its plain step. omega is 1 until the residual history shows a
-steady contraction rate r of plain scaling (three successive ratios within
-5 %), then 2 / (1 + sqrt(1 - r)), the optimal factor for that rate. The
-nonlinear iteration may still diverge at that omega (it does at sigma2 =
-0.01 on the Fortet marginals of the tests), so a residual above twice the
-best one seen sends omega back to 1 for the rest of the solve. The residual
-history is therefore not monotone. omega = 1 is plain scaling, so there is
-no option.
-
-The Wiener span rule lives in _wiener_span: every propagation of a potential
-or density over time spans (solver, marginal residuals, time-t potentials,
-drift sweeps, prior flow) is the identity at span 0, else a row of
-kernels.log_heat_propagate with variance sigma2 * span, a direct Toeplitz
-convolution with exact log-sum-exp rows where it underflows. A sweep over
-many times is one call with one variance per time, and the exp, log or
-gradient that follows is taken over the whole stack; each row equals the
-single-time result bit for bit. No kernel matrix is built, and no FFT is
-used, because FFT error is absolute and the 1e-30 density floor depends on
-the tails keeping their relative accuracy. Each time is propagated directly
-from the stored endpoint potential, never by compounding a one-step kernel,
-which would compound its aliasing error when the step is under-resolved
-(sqrt(sigma2 dt) < h).
 """
 
 from __future__ import annotations
@@ -71,7 +46,10 @@ def _wiener_span(grid, log_f: np.ndarray, sigma2: float, spans) -> np.ndarray:
     """log_f propagated over each time span: variance sigma2 * span, log_f itself at span 0.
 
     spans is one span (a 1-D result) or a 1-D array of them (one row each);
-    the spans that move share one log_heat_propagate call.
+    the spans that move share one log_heat_propagate call. Every propagation
+    of a potential or density over time goes through here, directly from the
+    stored endpoint, never by compounding a one-step kernel, which would
+    compound its aliasing error when a step is under-resolved (sqrt(sigma2 dt) < h).
     """
     spans = np.asarray(spans, dtype=float)
     moving = spans != 0
@@ -175,10 +153,13 @@ def solve_schrodinger_system(
     below tol. omega starts at 1, plain scaling. Once _RATE_RATIOS
     successive ratios of the residual history agree within _RATE_AGREEMENT,
     the last ratio r is the contraction rate of plain scaling and omega
-    becomes 2 / (1 + sqrt(1 - r)), the optimal factor for that rate. Once a
-    residual exceeds _SAFEGUARD times the best one seen, omega falls back to
-    1 for the rest of the solve, where plain scaling converges. So
-    residual_history is not monotone. The returned gauge is fixed so the two
+    becomes 2 / (1 + sqrt(1 - r)), the optimal factor for that rate
+    (Thibault, Chizat, Dossal and Papadakis 2021; Lehmann, von Renesse,
+    Sambale and Uschmajew 2022). The nonlinear iteration may still diverge at
+    that omega (it does at sigma2 = 0.01 on the Fortet marginals of the
+    tests): once a residual exceeds _SAFEGUARD times the best one seen, omega
+    falls back to 1 for the rest of the solve, where plain scaling converges.
+    So residual_history is not monotone. The returned gauge is fixed so the two
     log-potentials at t1 have equal quadrature means, making outputs
     reproducible; all observables are gauge-free.
 
@@ -197,8 +178,6 @@ def solve_schrodinger_system(
     log_phi1 = np.zeros_like(log_rho1)
     history = []
     omega, rate_read, best = 1.0, False, np.inf
-    iterations = 0
-    residual = np.inf
     for iterations in range(1, max_iter + 1):
         log_phihat1 = _wiener_span(grid, log_phihat0, sigma2, span)
         residual = l1_distance(ScalarField(grid, np.exp(log_phi1 + log_phihat1)), problem.rho1)
@@ -234,6 +213,7 @@ def solve_schrodinger_system(
 def _check_partition(sol: BridgeSolution, t) -> float:
     """t, snapped to t0 or t1 within 1e-12 * max(span, 1); TimeNotStored outside [t0, t1]."""
     p = sol.problem
+    t = np.float64(t)  # None reads as NaN, which fails the range test
     tol = 1e-12 * max(1.0, abs(p.t1 - p.t0))
     if not p.t0 - tol <= t <= p.t1 + tol:
         raise TimeNotStored(f"time {t} lies outside [{p.t0}, {p.t1}]")

@@ -17,10 +17,12 @@ from .quantum import normalize_wavefunction
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> DensityField:
     require_finite_positive(var, "var")
     x = grid.points
-    return normalize(ScalarField(grid, np.exp(-((x - mean) ** 2) / (2.0 * var))))
+    # None reads as NaN, a non-finite field
+    return normalize(ScalarField(grid, np.exp(-((x - np.float64(mean)) ** 2) / (2.0 * var))))
 
 
 def indicator_density(grid: Grid1D, a: float, b: float) -> DensityField:
+    a, b = np.float64(a), np.float64(b)  # None reads as NaN, refused here
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     x = grid.points
@@ -35,8 +37,9 @@ def mixture_density(grid: Grid1D, components) -> DensityField:
     """
     total = np.zeros(grid.n_points)
     for weight, spec in components:
-        if weight < 0:
-            raise ValueError("mixture weights must be nonnegative")
+        weight = np.float64(weight)  # None reads as NaN, refused here
+        if not weight >= 0:
+            raise ValueError(f"mixture weights must be nonnegative, got {weight}")
         total += weight * _component(grid, spec).values
     return normalize(ScalarField(grid, total))
 
@@ -60,7 +63,8 @@ def gaussian_packet(
     """
     require_finite_positive(sigma0, "sigma0")
     x = grid.points
-    psi = np.exp(-((x - center) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
+    # None reads as NaN, a non-finite field
+    psi = np.exp(-((x - np.float64(center)) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
     return normalize_wavefunction(ComplexField(grid, psi))
 
 

@@ -168,6 +168,7 @@ def _time_tol(times: np.ndarray) -> float:
 
 def stored_time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored time nearest t; TimeNotStored beyond _time_tol(times) of it."""
+    t = np.float64(t)  # None reads as NaN
     i = int(np.argmin(np.abs(times - t)))
     # written so that a NaN t fails the match
     if not abs(times[i] - t) <= _time_tol(times):
@@ -191,27 +192,18 @@ def integrate(f) -> float:
     return float(np.dot(f.grid.weights, f.values))
 
 
-def interp_uniform(grid: Grid1D, values: np.ndarray, x) -> np.ndarray:
-    """np.interp(x, grid.points, values), with the cell found from (x - x_min)/h.
-
-    It is the cell step (_Cells.find) followed by the lerp step
-    (_Cells.lerp); a caller reading several tables at the same positions
-    runs the cell step once. Slope and offset use np.interp's arithmetic, so
-    the two agree bit for bit except within rounding of a node. Beyond a
-    wall: the wall value; NaN: NaN.
-    """
-    x = np.asarray(x, dtype=float)
-    return _Cells(grid, x.shape).find(x).lerp(values, _slopes(grid, values))
-
-
 class _Cells:
     """Cell index j and offset x - x_j of a row of positions, in reused buffers.
 
     find(x) is the cell step: it clips the positions to the walls, counts in
     n_out those beyond them, and sets j and the offset; NaN goes to cell 0
     and stays NaN in the offset. lerp is the lerp step: it reads one table
-    at those cells. The buffers serve every row of one shape, so a loop over
-    the rows of an ensemble allocates no n-sized array per row; without
+    at those cells, with the slopes of _slopes. The two steps give
+    np.interp(x, grid.points, values) by np.interp's arithmetic, bit for bit
+    except within rounding of a node; beyond a wall the wall value; NaN
+    gives NaN. A caller reading several tables at the same positions runs
+    the cell step once. The buffers serve every row of one shape, so a loop
+    over the rows of an ensemble allocates no n-sized array per row; without
     that, glibc returns freed rows to the system and page-faults them back.
     """
 
@@ -257,16 +249,14 @@ def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _log_gradient_values(values: np.ndarray, h: float) -> np.ndarray:
-    # floored at the smallest normal float, so tails give no -inf
+    # the score f'/f as d/dx log f, floored at the smallest normal float so tails
+    # give no -inf; exact for Gaussian-shaped fields (quadratic log), which the
+    # analytic oracles rely on
     return _gradient_values(np.log(np.maximum(values, np.finfo(float).tiny)), h)
 
 
-def gradient(f: ScalarField) -> ScalarField:
-    """First derivative: central differences, one-sided second-order endpoints."""
-    return ScalarField(f.grid, _gradient_values(f.values, f.grid.h))
-
-
 def _laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
+    # 3-point stencil inside, one-sided second-order ends (the inner value on 3 points)
     n = values.shape[0]
     out = np.empty_like(values)
     out[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h**2
@@ -279,28 +269,12 @@ def _laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Second derivative: 3-point stencil inside, one-sided second-order endpoints."""
-    return ScalarField(f.grid, _laplacian_values(f.values, f.grid.h))
-
-
 def normalize(f: ScalarField) -> DensityField:
     """Divide a nonnegative field by its trapezoid mass; DensityField refuses negative values."""
     mass = integrate(f)
     if not mass > 0:
         raise NonPositiveMass(f"cannot normalize: mass {mass!r}")
     return DensityField(f.grid, f.values / mass, mass_tol=1e-10)
-
-
-def log_gradient(f: ScalarField) -> ScalarField:
-    """Derivative of log f, i.e. the score f'/f realized as d/dx log f.
-
-    Values are floored at the smallest normal float before the log so tails
-    cannot produce -inf; the realization through log makes the result exact
-    for Gaussian-shaped fields (quadratic log), which the analytic oracles
-    rely on.
-    """
-    return ScalarField(f.grid, _log_gradient_values(f.values, f.grid.h))
 
 
 def l1_distance(f, g) -> float:

@@ -4,20 +4,8 @@ A TransitionKernel over [s, t] is the Gaussian transition density of
 variance sigma2 * (t - s) on a grid; it stores the grid, the two times and
 the variance, and no matrix.
 
-Every Wiener propagation goes through one engine, log_heat_propagate:
-log sum_j p_v(x_i - x_j) w_j exp(f_j) for the Gaussian density p_v of
-variance v. On a uniform grid the kernel is Toeplitz, so the sum is one
-direct convolution of the max-shifted linear vector with the 2n - 1 samples
-of the Gaussian profile: O(n^2) work and no n x n array. Rows whose linear
-sum falls below an underflow floor are recomputed exactly by a max-shifted
-log-sum-exp against the analytic log profile. The symmetric Wiener kernel
-makes forward and backward propagation the same map.
-
-The variance may be a 1-D array: the result then has one row per variance,
-shape (K, n). The rows share log w, the shift and the shifted linear vector;
-each builds its own profile inside the loop (never a (K, 2n - 1) stack), and
-each equals the call with its variance alone, bit for bit. A sweep over the
-times of a grid is one such call.
+Every Wiener propagation goes through one engine, log_heat_propagate. The
+symmetric Wiener kernel makes forward and backward propagation the same map.
 
 The convolution is direct, not FFT-based: FFT error is absolute, about
 1e-16 times the largest output, while the solvers need the tails to keep
@@ -81,7 +69,8 @@ def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKe
     the grid spacing under-resolves the kernel.
     """
     require_finite_positive(sigma2, "sigma2")
-    kernel = TransitionKernel(grid, s, t, sigma2 * (t - s))
+    # None reads as NaN, which TransitionKernel refuses as InvalidInterval
+    kernel = TransitionKernel(grid, s, t, sigma2 * (np.float64(t) - np.float64(s)))
     _check_truncation(kernel)
     return kernel
 
@@ -102,7 +91,8 @@ def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     variance is one variance (a 1-D result) or a 1-D array of them (one row
     each, shape (K, n)). The rows share log w, the shift and
     exp(log_f + log w - max); each row is one direct convolution of that
-    vector with its kernel's 2n - 1 samples, and its entries whose linear sum
+    vector with its kernel's 2n - 1 samples (the kernel is Toeplitz on a
+    uniform grid: O(n^2) work, no n x n array), and its entries whose linear sum
     underflows below _LINEAR_FLOOR are recomputed by a max-shifted log-sum-exp
     against the analytic log profile. A row equals the call with its variance
     alone, bit for bit. Finite input gives finite output, all -inf input all

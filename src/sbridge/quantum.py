@@ -89,14 +89,6 @@ class QuantumModel:
     def free(cls, grid: Grid1D, hbar: float = 1.0, m: float = 1.0) -> "QuantumModel":
         return cls(hbar, m, ScalarField(grid, np.zeros(grid.n_points)), grid)
 
-    def matches(self, other: "QuantumModel") -> bool:
-        return (
-            self.grid == other.grid
-            and self.hbar == other.hbar
-            and self.m == other.m
-            and np.array_equal(self.potential.values, other.potential.values)
-        )
-
 
 def _off_node(rho: np.ndarray) -> np.ndarray:
     """Points where the density rho = |psi|^2 lies above NODE_FLOOR times its peak.
@@ -271,6 +263,8 @@ def evolve(
     """
     require_count(n_steps, 1, "n_steps")
     require_same_grid(psi, model)
+    # None reads as NaN, whose step _cayley refuses
+    t_from, t_to = np.float64(t_from), np.float64(t_to)
     if t_to == t_from:
         return WavefunctionPath(np.array([t_from]), psi.values[None, :], model)
     dt = (t_to - t_from) / n_steps
@@ -322,10 +316,10 @@ def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
     rho = np.abs(psi.values) ** 2
     mask = _off_node(rho)
     mask.setflags(write=False)
-    u = np.where(mask, (model.hbar / (2.0 * model.m)) * _log_gradient_values(rho, grid.h), 0.0)
+    u = np.where(mask, (0.5 * model.sigma2) * _log_gradient_values(rho, grid.h), 0.0)
     safe_psi = np.where(mask, psi.values, 1.0)
     grad_psi = _gradient_values(psi.values, grid.h)
-    v = np.where(mask, (model.hbar / model.m) * np.imag(grad_psi / safe_psi), 0.0)
+    v = np.where(mask, model.sigma2 * np.imag(grad_psi / safe_psi), 0.0)
     return DriftDecomposition(ScalarField(grid, v + u), ScalarField(grid, v - u), mask)
 
 
@@ -387,14 +381,15 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     ratio is real positive (phase invariance at t1) within TERMINAL_PHASE_TOL.
     Paths on different grids raise GridMismatch; another hbar, m or V, ValueError.
     """
-    require_same_grid(path.model, tilde_path.model)
-    if not path.model.matches(tilde_path.model):
+    model, other = path.model, tilde_path.model
+    require_same_grid(model, other)
+    if (model.hbar != other.hbar or model.m != other.m
+            or not np.array_equal(model.potential.values, other.potential.values)):
         raise ValueError("paths evolve under different models")
     if path.times.shape != tilde_path.times.shape or not np.allclose(
         path.times, tilde_path.times, rtol=0, atol=_time_tol(path.times)
     ):
         raise ValueError("paths must share the same time grid")
-    model = path.model
     require_time_grid(path.times, 2)  # the midpoint stencil needs one step
 
     # terminal condition: ratio real and positive where defined
@@ -431,7 +426,10 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
 
 
 def _merge_regions(regions):
-    regs = sorted((float(a), float(b)) for a, b in regions)
+    # np.float64 reads None as NaN
+    regs = sorted((float(np.float64(a)), float(np.float64(b))) for a, b in regions)
+    if not np.isfinite(regs).all():
+        raise ValueError(f"region ends must be finite, got {regs}")
     merged = []
     for a, b in regs:
         if b < a:

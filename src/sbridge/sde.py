@@ -27,12 +27,11 @@ from .grid import (
     Grid1D,
     ScalarField,
     _Cells,
+    _gradient_values,
+    _laplacian_values,
+    _log_gradient_values,
     _slopes,
-    gradient,
-    interp_uniform,
     kl_divergence,
-    laplacian,
-    log_gradient,
     normalize,
     require_count,
     require_finite_positive,
@@ -89,7 +88,7 @@ class GridDrift:
     table is the tuple of the fields' read-only values, one row per stored
     time, viewed without a copy. Lookup is nearest-neighbor in time (the SDE
     step must line up with the storage grid) and linear in space by
-    uniform-grid index arithmetic (grid.interp_uniform). Positions outside
+    uniform-grid index arithmetic (grid._Cells). Positions outside
     the grid are clamped and counted; runs exceeding the clamp budget fail
     validation. Callers reading several tables on one grid at the same
     positions find the cells once (grid._Cells) and read each with _at_cell.
@@ -108,6 +107,7 @@ class GridDrift:
         self.n_clamped = 0
 
     def _time_slot(self, t: float) -> int:
+        t = np.float64(t)  # None reads as NaN
         # written so that a NaN t fails the range test
         if not self.times[0] - self._slot_tol <= t <= self.times[-1] + self._slot_tol:
             raise TimeNotStored(
@@ -145,7 +145,7 @@ def _trapezoid_cdf(rho) -> np.ndarray:
     """Normalized trapezoid CDF of rho at its grid points.
 
     np.interp(u, cdf, grid.points) maps uniforms to positions, piecewise-linear
-    within cells; the abscissa is the CDF, not a uniform grid, so interp_uniform
+    within cells; the abscissa is the CDF, not a uniform grid, so grid._Cells
     does not apply.
     """
     grid = rho.grid
@@ -336,7 +336,7 @@ def duality_check(beta, gamma, rho: DensityField, sigma2, t: float = 0.0) -> flo
     _require_sigma2(sigma2)
     grid = rho.grid
     x = grid.points
-    score = log_gradient(rho).values
+    score = _log_gradient_values(rho.values, grid.h)
     defect = (
         np.asarray(beta(x, t), dtype=float)
         - np.asarray(gamma(x, t), dtype=float)
@@ -364,7 +364,9 @@ def path_integral(ens: PathEnsemble, g, endpoint: str = "left") -> np.ndarray:
     start of each step (the forward Euler-Maruyama discretization), "right"
     at its end.
     """
-    shift = {"left": 0, "right": 1}[endpoint]
+    if endpoint not in ("left", "right"):
+        raise ValueError(f"unknown endpoint {endpoint!r}")
+    shift = int(endpoint == "right")
     rows = ens.positions.T  # contiguous, one row per time
     acc = np.zeros(ens.n_paths)
     term = np.empty(ens.n_paths)
@@ -383,10 +385,10 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
     """
     _require_ensemble_sigma2(ens, sigma2)
     grid = f.grid
-    fp = gradient(f).values
-    fpp = laplacian(f).values
+    fp = _gradient_values(f.values, grid.h)
+    fpp = _laplacian_values(f.values, grid.h)
     slope_fp, slope_fpp = _slopes(grid, fp), _slopes(grid, fpp)
-    # one cell per row for f', f'' and a drift table on f's grid
+    # one cell per row for f', f'' and a drift table on f's grid, then for f at both ends
     cells = _Cells(grid, ens.n_paths)
     buf = [np.empty(ens.n_paths) for _ in range(3)]
 
@@ -400,8 +402,9 @@ def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> Generato
         return out
 
     rhs_acc = path_integral(ens, generator)
-    lhs_paths = (interp_uniform(grid, f.values, ens.positions[:, -1])
-                 - interp_uniform(grid, f.values, ens.positions[:, 0]))
+    slope_f = _slopes(grid, f.values)
+    lhs_paths = cells.find(ens.positions[:, -1]).lerp(f.values, slope_f)
+    lhs_paths -= cells.find(ens.positions[:, 0]).lerp(f.values, slope_f, buf[0])
     mean, se = _mc_mean(lhs_paths - rhs_acc)
     return GeneratorCheckResult(
         lhs=float(lhs_paths.mean()),

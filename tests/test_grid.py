@@ -11,15 +11,15 @@ from sbridge.grid import (
     DensityField,
     Grid1D,
     ScalarField,
-    gradient,
+    _gradient_values,
+    _laplacian_values,
+    _log_gradient_values,
     integrate,
-    interp_uniform,
     l1_distance,
-    laplacian,
-    log_gradient,
     normalize,
     require_same_grid,
 )
+from sbridge.sde import GridDrift
 
 
 def test_grid_basic_invariants():
@@ -65,7 +65,7 @@ def test_integrate_standard_normal_erf_oracle():
 
 def test_gradient_constant_zero():
     g = Grid1D(-1.0, 1.0, 33)
-    df = gradient(ScalarField(g, np.full(33, 4.7))).values
+    df = _gradient_values(np.full(33, 4.7), g.h)
     assert np.all(df[1:-1] == 0)
     # endpoint stencils combine three equal values; roundoff only
     assert np.max(np.abs(df)) < 1e-13
@@ -73,7 +73,7 @@ def test_gradient_constant_zero():
 
 def test_gradient_exact_on_quadratics():
     g = Grid1D(-1.0, 1.0, 41)
-    df = gradient(ScalarField(g, g.points**2)).values
+    df = _gradient_values(g.points**2, g.h)
     assert np.max(np.abs(df[1:-1] - 2 * g.points[1:-1])) < 1e-10
     # one-sided second-order endpoints are exact on quadratics too
     assert abs(df[0] + 2.0) < 1e-10 and abs(df[-1] - 2.0) < 1e-10
@@ -82,7 +82,7 @@ def test_gradient_exact_on_quadratics():
 def test_gradient_second_order_richardson():
     def interior_err(n):
         g = Grid1D(0.0, np.pi, n)
-        df = gradient(ScalarField(g, np.sin(g.points))).values
+        df = _gradient_values(np.sin(g.points), g.h)
         return np.max(np.abs(df[1:-1] - np.cos(g.points[1:-1])))
 
     ratio = interior_err(101) / interior_err(201)
@@ -91,15 +91,18 @@ def test_gradient_second_order_richardson():
 
 def test_laplacian_exact_on_quadratics_and_constants():
     g = Grid1D(-1.0, 1.0, 41)
-    lap = laplacian(ScalarField(g, g.points**2)).values
+    lap = _laplacian_values(g.points**2, g.h)
     assert np.max(np.abs(lap - 2.0)) < 1e-9
-    assert np.all(laplacian(ScalarField(g, np.full(41, 3.0))).values == 0)
+    assert np.all(_laplacian_values(np.full(41, 3.0), g.h) == 0)
+    # on 3 points the ends take the one inner value, still exact on a quadratic
+    g3 = Grid1D(-1.0, 1.0, 3)
+    assert np.max(np.abs(_laplacian_values(g3.points**2, g3.h) - 2.0)) < 1e-9
 
 
 def test_laplacian_second_order_on_sin():
     def err(n):
         g = Grid1D(0.0, np.pi, n)
-        lap = laplacian(ScalarField(g, np.sin(g.points))).values
+        lap = _laplacian_values(np.sin(g.points), g.h)
         return np.max(np.abs(lap[1:-1] + np.sin(g.points[1:-1])))
 
     ratio = err(101) / err(201)
@@ -151,27 +154,27 @@ def test_normalized_mass_property(seed):
 def test_gradient_laplacian_linearity(seed):
     rng = np.random.default_rng(seed)
     g = Grid1D(-2.0, 2.0, 101)
-    f = ScalarField(g, rng.standard_normal(101))
-    h = ScalarField(g, rng.standard_normal(101))
+    f = rng.standard_normal(101)
+    h = rng.standard_normal(101)
     a, b = 1.7, -0.3
-    combo = ScalarField(g, a * f.values + b * h.values)
-    for op in (gradient, laplacian):
-        lhs = op(combo).values
-        rhs = a * op(f).values + b * op(h).values
+    combo = a * f + b * h
+    for op in (_gradient_values, _laplacian_values):
+        lhs = op(combo, g.h)
+        rhs = a * op(f, g.h) + b * op(h, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1, np.max(np.abs(rhs)))
 
 
 def test_gradient_of_even_field_is_odd():
     g = Grid1D(-4.0, 4.0, 161)
-    f = ScalarField(g, np.cosh(np.cos(g.points)) * np.exp(-g.points**2))
-    df = gradient(f).values
+    f = np.cosh(np.cos(g.points)) * np.exp(-g.points**2)
+    df = _gradient_values(f, g.h)
     assert np.max(np.abs(df + df[::-1])) < 1e-10
 
 
 def test_log_gradient_exact_on_gaussian():
     g = Grid1D(-6.0, 6.0, 241)
     rho = normalize(ScalarField(g, np.exp(-g.points**2 / 0.8)))
-    score = log_gradient(rho).values
+    score = _log_gradient_values(rho.values, g.h)
     assert np.max(np.abs(score + 2 * g.points / 0.8)) < 1e-9
 
 
@@ -220,25 +223,30 @@ def interp_cases(draw):
     return grid, values, x
 
 
+def _read_row(grid, values, x):
+    # one stored time: the public reader of a table row, its cell step then its lerp step
+    return GridDrift([0.0], [ScalarField(grid, values)])(x, 0.0)
+
+
 @given(interp_cases())
-def test_interp_uniform_matches_np_interp(case):
+def test_grid_drift_matches_np_interp(case):
     grid, values, x = case
     ref = np.interp(x, grid.points, values)
-    out = interp_uniform(grid, values, x)
+    out = _read_row(grid, values, x)
     assert np.all(np.abs(out - ref) <= 1e-12 * np.max(np.abs(values)))
     assert out[-1] == values[-1] and out[-2] == values[0]
 
 
-def test_interp_uniform_nan_gives_nan_without_warning():
+def test_grid_drift_nan_gives_nan_without_warning():
     g = Grid1D(-1.0, 1.0, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = interp_uniform(g, g.points**2, np.array([np.nan, 0.5, np.nan]))
+        out = _read_row(g, g.points**2, np.array([np.nan, 0.5, np.nan]))
     assert np.isnan(out[0]) and np.isnan(out[2])
     assert out[1] == 0.25
 
 
-def test_interp_uniform_scalar_and_integer_input():
+def test_grid_drift_scalar_and_integer_input():
     g = Grid1D(-1.0, 1.0, 5)
     for x in (0.3, np.float64(-2.0), np.asarray(0.7), 1, np.array([0, 1, -3])):
-        assert np.array_equal(interp_uniform(g, g.points**2, x), np.interp(x, g.points, g.points**2))
+        assert np.array_equal(_read_row(g, g.points**2, x), np.interp(x, g.points, g.points**2))

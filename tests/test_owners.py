@@ -14,18 +14,20 @@ import pytest
 import sbridge
 from sbridge.bridge import (
     BridgeProblem,
+    bridge_density,
     solve_schrodinger_system,
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from sbridge.errors import GridMismatch, NonPositiveMass
-from sbridge.families import box_mode, box_mode_energy, gaussian_density, gaussian_packet
+from sbridge.errors import GridMismatch, NonPositiveMass, TimeNotStored
+from sbridge.families import (box_mode, box_mode_energy, gaussian_density, gaussian_packet,
+                              indicator_density, mixture_density)
 from sbridge.grid import ComplexField, DensityField, Grid1D, ScalarField
-from sbridge.kernels import heat_kernel
-from sbridge.quantum import (QuantumModel, WavefunctionPath, evolve, hjb_residual,
+from sbridge.kernels import heat_kernel, log_heat_propagate
+from sbridge.quantum import (QuantumModel, WavefunctionPath, collapse, evolve, hjb_residual,
                              normalize_wavefunction, quantum_bridge)
-from sbridge.sde import (PathEnsemble, duality_check, generator_check, sample_backward,
-                         sample_forward)
+from sbridge.sde import (GridDrift, PathEnsemble, duality_check, empirical_density,
+                         generator_check, path_integral, sample_backward, sample_forward)
 
 SRC = Path(sbridge.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -67,6 +69,8 @@ OWNERS = [
     ("threading.Thread(", "sde.py", True),
     # the one random stream per path block: sde._block_generator
     ("np.random.Generator(", "sde.py", True),
+    # sigma2 = hbar / m: QuantumModel.sigma2
+    ("hbar / ", "quantum.py", True),
 ]
 
 
@@ -93,6 +97,14 @@ def _problem():
     return BridgeProblem(RHO, gaussian_density(GRID, 1.0, 1.0), kernel, 1.0)
 
 
+def _ensemble():
+    return sample_forward(ZERO, RHO, 1.0, np.linspace(0.0, 1.0, 5), 10, seed=1)
+
+
+def _table():
+    return GridDrift([0.0, 1.0], [ScalarField(GRID, np.zeros(161))] * 2)
+
+
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: wiener_marginal_flow(RHO, [0.0], np.nan), ValueError,
                  id="wiener_marginal_flow-one-time-nan-sigma2"),
@@ -115,6 +127,32 @@ def _problem():
     pytest.param(lambda: duality_check(ZERO, ZERO, RHO, None), ValueError,
                  id="duality_check-None-sigma2"),
     pytest.param(lambda: Grid1D(0.0, None, 5), ValueError, id="Grid1D-None-x_max"),
+    pytest.param(lambda: heat_kernel(GRID, None, 1.0, 1.0), ValueError, id="heat_kernel-None-s"),
+    pytest.param(lambda: indicator_density(GRID, None, 1.0), ValueError,
+                 id="indicator_density-None-a"),
+    pytest.param(lambda: mixture_density(GRID, [(None, {"kind": "gaussian", "mean": 0.0,
+                                                        "var": 1.0})]),
+                 ValueError, id="mixture_density-None-weight"),
+    pytest.param(lambda: gaussian_density(GRID, None, 1.0), ValueError,
+                 id="gaussian_density-None-mean"),
+    pytest.param(lambda: gaussian_packet(GRID, None, 1.0), ValueError,
+                 id="gaussian_packet-None-center"),
+    pytest.param(lambda: evolve(gaussian_packet(GRID), QuantumModel.free(GRID), None, 1.0, 4),
+                 ValueError, id="evolve-None-t_from"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), (None, 1.0)), ValueError,
+                 id="collapse-None-region-end"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), (np.nan, 1.0)), ValueError,
+                 id="collapse-nan-region-end"),
+    # a time matched against stored or covered times is TimeNotStored, None as NaN
+    pytest.param(lambda: bridge_density(solve_schrodinger_system(_problem()), None),
+                 TimeNotStored, id="bridge_density-None-t"),
+    pytest.param(lambda: _path_under(QuantumModel.free(GRID)).density_at(None), TimeNotStored,
+                 id="density_at-None-t"),
+    pytest.param(lambda: empirical_density(_ensemble(), None, GRID), TimeNotStored,
+                 id="empirical_density-None-t"),
+    pytest.param(lambda: _table()(GRID.points, None), TimeNotStored, id="GridDrift-None-t"),
+    pytest.param(lambda: path_integral(_ensemble(), ZERO, "middle"), ValueError,
+                 id="path_integral-unknown-endpoint"),
     # a tolerance no residual can fall below, or that accepts any mass
     pytest.param(lambda: solve_schrodinger_system(_problem(), tol=0.0), ValueError,
                  id="solve_schrodinger_system-zero-tol"),
@@ -214,6 +252,26 @@ def _path_under(model):
     pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.empty((0, 5)), 1.0, 1,
                                       "forward"),
                  ValueError, id="PathEnsemble-no-rows"),
+    pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.zeros((2, 5)), 1.0, 1,
+                                      "sideways"),
+                 ValueError, id="PathEnsemble-unknown-direction"),
+    pytest.param(lambda: GridDrift([0.0, 1.0], [ScalarField(GRID, np.zeros(161))]), ValueError,
+                 id="GridDrift-fewer-fields-than-times"),
+    # a field is one finite value per grid point
+    pytest.param(lambda: ScalarField(GRID, np.zeros(160)), ValueError,
+                 id="ScalarField-wrong-shape"),
+    pytest.param(lambda: ScalarField(GRID, np.full(161, np.inf)), ValueError,
+                 id="ScalarField-non-finite"),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros((2, 161)), 1.0), ValueError,
+                 id="log_heat_propagate-wrong-shape"),
+    pytest.param(lambda: indicator_density(GRID, 1.0, 1.0), ValueError,
+                 id="indicator_density-empty-interval"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), (1.0, -1.0)), ValueError,
+                 id="collapse-reversed-region"),
+    pytest.param(lambda: hjb_residual(
+        _path_under(QuantumModel.free(GRID)),
+        evolve(gaussian_packet(GRID, 0.0, 1.0), QuantumModel.free(GRID), 0.0, 0.2, 4)),
+                 ValueError, id="hjb_residual-other-times"),
 ])
 def test_each_condition_raises_one_class(call, error):
     with pytest.raises(error):

@@ -25,8 +25,8 @@ from sbridge.grid import (
     DensityField,
     Grid1D,
     ScalarField,
+    _log_gradient_values,
     integrate,
-    log_gradient,
     normalize,
 )
 from sbridge.quantum import (
@@ -373,8 +373,8 @@ def test_nelson_drift_identity(grid, model, packet):
     # derivative realized node-safely from the state itself
     psi = gaussian_packet(grid, center=0.5, sigma0=1.2, k0=0.7)
     d = drifts(psi, model)
-    rho = ScalarField(grid, np.abs(psi.values) ** 2)
-    re_part = 0.5 * log_gradient(rho).values
+    rho = np.abs(psi.values) ** 2
+    re_part = 0.5 * _log_gradient_values(rho, grid.h)
     grad = np.gradient(psi.values.real, grid.h, edge_order=2) \
         + 1j * np.gradient(psi.values.imag, grid.h, edge_order=2)
     im_part = np.imag(grad / psi.values)
@@ -583,6 +583,10 @@ def test_collapse_union_of_regions(grid, packet):
     assert np.all(out.values[np.abs(grid.points) < 1.0] == 0.0)
     assert 0.0 < p1 < 1.0
     assert abs(norm_l2(out) - 1.0) < 1e-12
+    # overlapping regions merge into their union
+    merged, q1 = collapse(packet, (-1.0, 1.0))
+    out, p1 = collapse(packet, [(0.0, 1.0), (-1.0, 0.5)])
+    assert p1 == q1 and np.array_equal(out.values, merged.values)
 
 
 def test_collapse_zero_probability_region(grid, packet):
