@@ -53,13 +53,9 @@ def _wiener_span(grid, log_f: np.ndarray, sigma2: float, spans) -> np.ndarray:
     """
     spans = np.asarray(spans, dtype=float)
     moving = spans != 0
-    rows = log_heat_propagate(grid, log_f, sigma2 * spans[moving])
-    if moving.all():
-        # no identity row: the propagated rows are the result, with no second stack
-        return rows.reshape(spans.shape + log_f.shape)
     out = np.empty(spans.shape + log_f.shape)
     out[~moving] = log_f
-    out[moving] = rows
+    out[moving] = log_heat_propagate(grid, log_f, sigma2 * spans[moving])
     return out
 
 

@@ -36,8 +36,10 @@ class Grid1D:
 
     def __post_init__(self):
         require_count(self.n_points, 3, "n_points")
-        real = all(isinstance(end, numbers.Real) for end in (self.x_min, self.x_max))
-        require_finite_positive(self.x_max - self.x_min if real else None, "x_max - x_min")
+        for name, end in (("x_min", self.x_min), ("x_max", self.x_max)):
+            if not (isinstance(end, numbers.Real) and -np.inf < end < np.inf):
+                raise ValueError(f"need a finite real {name}, got {end!r}")
+        require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
         # a width of a few subnormals leaves an end weight of 0, whose log is -inf
         require_finite_positive(self.h / 2.0, "end weight h / 2")
 
@@ -116,9 +118,6 @@ class ComplexField(ScalarField):
     """Complex-valued samples on a grid, checked and stored as a ScalarField's."""
 
     dtype = complex
-
-    def __repr__(self):
-        return f"ComplexField(n={self.grid.n_points})"
 
 
 def require_same_grid(*objs):

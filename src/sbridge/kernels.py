@@ -103,9 +103,10 @@ def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     for v in variances.flat:
         _require_variance(v)
     n = grid.n_points
-    a = np.asarray(log_f, dtype=float) + np.log(grid.weights)
-    if a.shape != (n,):
-        raise ValueError(f"expected {n} log values, got shape {a.shape}")
+    log_f = np.asarray(log_f, dtype=float)
+    if log_f.shape != (n,):
+        raise ValueError(f"expected {n} log values, got shape {log_f.shape}")
+    a = log_f + np.log(grid.weights)
     shift = a.max()
     if not shift < np.inf:
         raise ValueError(f"log values must be below +inf and not NaN, max is {shift}")

@@ -425,49 +425,32 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
     return float(np.sqrt(model.grid.h * total))
 
 
-def _merge_regions(regions):
-    # np.float64 reads None as NaN
-    regs = sorted((float(np.float64(a)), float(np.float64(b))) for a, b in regions)
-    if not np.isfinite(regs).all():
-        raise ValueError(f"region ends must be finite, got {regs}")
-    merged = []
-    for a, b in regs:
-        if b < a:
-            raise ValueError(f"region [{a}, {b}] is reversed")
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
     """Condition a state on the region union D: (chi_D psi / ||chi_D psi||, p1).
 
     regions is one (a, b) pair or an iterable of pairs. p1, the probability
     of finding the particle in D, is the trapezoid integral of |psi|^2 over
-    each region (region-edge grid points half-weighted); the collapsed state
-    is exactly zero outside D and normalized in the grid's L2 norm.
+    each run of grid points in D (run-end points half-weighted); the collapsed
+    state is exactly zero outside D and normalized in the grid's L2 norm.
     """
-    if np.ndim(regions) == 1:
-        regions = [tuple(regions)]
-    merged = _merge_regions(regions)
+    regions = [tuple(regions)] if np.ndim(regions) == 1 else list(regions)
     grid = psi.grid
-    x = grid.points
-    tol = 1e-9 * grid.h
-    rho = np.abs(psi.values) ** 2
-
+    x, tol = grid.points, 1e-9 * grid.h
     mask = np.zeros(grid.n_points, dtype=bool)
-    p1 = 0.0
-    for a, b in merged:
-        inside = (x >= a - tol) & (x <= b + tol)
-        mask |= inside
-        idx = np.nonzero(inside)[0]
-        if idx.shape[0] >= 2:
-            seg = rho[idx]
-            p1 += grid.h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-    if not mask.any() or p1 <= 0.0:
-        raise ZeroProbabilityRegion(f"regions {merged} carry no probability mass")
+    for a, b in regions:
+        a, b = np.float64(a), np.float64(b)  # None reads as NaN
+        if not np.isfinite((a, b)).all():
+            raise ValueError(f"region ends must be finite, got {regions}")
+        if b < a:
+            raise ValueError(f"region [{a}, {b}] is reversed")
+        mask |= (x >= a - tol) & (x <= b + tol)
+    rho = np.abs(psi.values) ** 2
+    # the mask flips at each run's first point and one past its last
+    runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
+    p1 = sum(grid.h * (rho[i:j].sum() - 0.5 * (rho[i] + rho[j - 1])) for i, j in runs)
+    # an empty mask, or runs of one point each, carries no mass
+    if p1 <= 0.0:
+        raise ZeroProbabilityRegion(f"regions {regions} carry no probability mass")
 
     chi_psi = np.where(mask, psi.values, 0.0)
     return normalize_wavefunction(ComplexField(grid, chi_psi)), float(p1)

@@ -16,6 +16,7 @@ marginals, or backward drifts + terminal marginals); both totals must agree.
 from __future__ import annotations
 
 import numbers
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -60,8 +61,6 @@ class PathEnsemble:
     times: np.ndarray
     positions: np.ndarray
     sigma2: float
-    seed: int
-    direction: str
 
     def __post_init__(self):
         times = require_time_grid(self.times, 2)
@@ -72,8 +71,6 @@ class PathEnsemble:
         if not np.isfinite(positions.min()) or not np.isfinite(positions.max()):
             raise ValueError("positions must be finite")
         _require_sigma2(self.sigma2)
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", np.ascontiguousarray(positions.T).T)
 
@@ -160,16 +157,15 @@ class _Increments:
 
     It fills the rows in the serial order, block by block and within a block
     in step order: row dst of block b gets standard normals from rngs[b] times
-    scales[k], and wait() returns once the next row is done. The thread never
-    reads a drift. Leaving the with-block, normally or by an exception, stops
-    it at its next row and joins it; an exception in the thread is raised by
-    wait() instead.
+    scales[k]. One queue is the handoff: the thread puts None after each row,
+    or its exception, and wait() takes the next item. The thread never reads
+    a drift. Leaving the with-block, normally or by an exception, stops it at
+    its next row and joins it.
     """
 
     def __init__(self, positions, rngs, spans, steps, scales):
-        self._ready = threading.Semaphore(0)
+        self._rows = queue.SimpleQueue()
         self._stop = threading.Event()
-        self._failure = []
         self._thread = threading.Thread(
             target=self._fill, args=(positions, rngs, spans, steps, scales))
 
@@ -181,18 +177,17 @@ class _Increments:
                         return
                     row = rng.standard_normal(out=positions[dst, start:stop])
                     row *= scales[k]
-                    self._ready.release()
+                    self._rows.put(None)
         # any exception, an interrupt too, is raised again by wait() on the
         # calling thread, which must not wait for a row that never comes
         except BaseException as exc:
-            self._failure.append(exc)
-            self._ready.release()
+            self._rows.put(exc)
 
     def wait(self) -> None:
         """Block until the next row is filled; raise the thread's exception if it failed."""
-        self._ready.acquire()
-        if self._failure:
-            raise self._failure[0]
+        failure = self._rows.get()
+        if failure is not None:
+            raise failure
 
     def __enter__(self):
         self._thread.start()
@@ -275,13 +270,7 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
         if evals and clamped / evals > CLAMP_BUDGET:
             raise ExcessiveClamping(f"{clamped}/{evals} drift evaluations left the grid "
                                     f"(budget {CLAMP_BUDGET:.1e})")
-    return PathEnsemble(
-        times=times,
-        positions=positions.T,
-        sigma2=sigma2,
-        seed=seed,
-        direction="backward" if backward else "forward",
-    )
+    return PathEnsemble(times, positions.T, sigma2)
 
 
 def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> PathEnsemble:
@@ -306,10 +295,10 @@ def sample_backward(gamma, rho1: DensityField, sigma2, times, n_paths, seed) -> 
 
     Steps x_k = x_{k+1} - gamma(x_{k+1}, t_{k+1}) dt + sigma sqrt(dt) z_k from
     the last time down to the first; positions are stored in increasing-time
-    order with direction tag "backward". The seed and the blocks of paths are
-    those of sample_forward: block b's random numbers depend only on seed and b.
-    As there, a helper thread draws the increments, gamma is read only on the
-    calling thread, and the output never depends on scheduling.
+    order. The seed and the blocks of paths are those of sample_forward: block
+    b's random numbers depend only on seed and b. As there, a helper thread
+    draws the increments, gamma is read only on the calling thread, and the
+    output never depends on scheduling.
     """
     return _simulate(gamma, rho1, sigma2, times, n_paths, seed, backward=True)
 

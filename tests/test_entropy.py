@@ -157,7 +157,7 @@ def test_drift_tables_score_as_plain_callables_do(grid, same_grid):
                 GridDrift(times, [ScalarField(grid_p, v) for v in values_p]))
 
     # about 3 % of the positions lie beyond x = +-10, more beyond +-6
-    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0, 0, "forward")
+    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0)
     q, p = gaussian_density(grid, 0.0, 1.0), gaussian_density(grid, 0.3, 1.2)
     read, called = tables(), tables()
     plain = [lambda x, t, d=d: d(x, t) for d in called]

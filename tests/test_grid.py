@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from sbridge.errors import GridMismatch, NonPositiveMass
 from sbridge.grid import (
+    ComplexField,
     DensityField,
     Grid1D,
     ScalarField,
@@ -43,6 +44,14 @@ def test_grid_whose_end_weight_underflows_is_refused(x_max):
     # so the log-domain propagation would read log(0) = -inf at the walls
     with pytest.raises(ValueError, match="end weight"):
         Grid1D(0.0, x_max, 3)
+
+
+def test_field_repr_names_the_type_size_and_value_range():
+    g = Grid1D(0.0, 1.0, 5)
+    assert repr(ScalarField(g, [0.5, 1.0, 2.0, 3.0, -1.25])) == "ScalarField(n=5, range=[-1.25, 3])"
+    # complex values order by real part, then imaginary part
+    psi = ComplexField(g, [0.5, 1j, -0.25 + 0.5j, 2.0, 0.0])
+    assert repr(psi) == "ComplexField(n=5, range=[-0.25+0.5j, 2+0j])"
 
 
 def test_integrate_constant_exact():

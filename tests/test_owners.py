@@ -67,6 +67,8 @@ OWNERS = [
     ("raise InfiniteEntropy", "grid.py", True),
     # the one thread the package starts: the sampler's helper, sde._Increments
     ("threading.Thread(", "sde.py", True),
+    # the helper thread's one handoff channel: each filled row, or its exception
+    ("queue.SimpleQueue(", "sde.py", True),
     # the one random stream per path block: sde._block_generator
     ("np.random.Generator(", "sde.py", True),
     # sigma2 = hbar / m: QuantumModel.sigma2
@@ -249,12 +251,8 @@ def _path_under(model):
     pytest.param(lambda: normalize_wavefunction(ComplexField(GRID, np.zeros(GRID.n_points))),
                  NonPositiveMass, id="normalize_wavefunction-zero-state"),
     # an ensemble of no paths is a count below its minimum: ValueError
-    pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.empty((0, 5)), 1.0, 1,
-                                      "forward"),
+    pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.empty((0, 5)), 1.0),
                  ValueError, id="PathEnsemble-no-rows"),
-    pytest.param(lambda: PathEnsemble(np.linspace(0.0, 1.0, 5), np.zeros((2, 5)), 1.0, 1,
-                                      "sideways"),
-                 ValueError, id="PathEnsemble-unknown-direction"),
     pytest.param(lambda: GridDrift([0.0, 1.0], [ScalarField(GRID, np.zeros(161))]), ValueError,
                  id="GridDrift-fewer-fields-than-times"),
     # a field is one finite value per grid point
@@ -275,6 +273,26 @@ def _path_under(model):
 ])
 def test_each_condition_raises_one_class(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # a refused grid end is named with the value given
+    pytest.param(lambda: Grid1D(0.0, None, 5), "finite real x_max, got None",
+                 id="Grid1D-None-x_max"),
+    pytest.param(lambda: Grid1D("a", 1.0, 5), "finite real x_min, got 'a'", id="Grid1D-str-x_min"),
+    # log values are checked before numpy broadcasts them against the weights
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros((2, 161)), 1.0),
+                 r"expected 161 log values, got shape \(2, 161\)",
+                 id="log_heat_propagate-wrong-shape"),
+    pytest.param(lambda: log_heat_propagate(Grid1D(-1.0, 1.0, 11), [0.0], 1.0),
+                 r"expected 11 log values, got shape \(1,\)", id="log_heat_propagate-one-value"),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(160), 1.0),
+                 r"expected 161 log values, got shape \(160,\)",
+                 id="log_heat_propagate-one-short"),
+])
+def test_refusal_names_the_input(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

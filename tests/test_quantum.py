@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import hypothesis.strategies as st
@@ -587,6 +588,24 @@ def test_collapse_union_of_regions(grid, packet):
     merged, q1 = collapse(packet, (-1.0, 1.0))
     out, p1 = collapse(packet, [(0.0, 1.0), (-1.0, 0.5)])
     assert p1 == q1 and np.array_equal(out.values, merged.values)
+
+
+def test_collapse_gap_without_grid_points_is_one_run():
+    # at h = 0.04 no grid point lies in the gap (0.01, 0.02): D is one run of
+    # points from -1 to 1, and p1 is its trapezoid, as for (-1, 1)
+    fine = Grid1D(-8.0, 8.0, 401)
+    psi = gaussian_packet(fine, center=0.0, sigma0=1.0)  # |psi|^2 = N(0, 1)
+    regions = [(-1.0, 0.01), (0.02, 1.0)]
+    out, p1 = collapse(psi, regions)
+    whole, q1 = collapse(psi, (-1.0, 1.0))
+    assert p1 == q1 and np.array_equal(out.values, whole.values)
+    cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    exact = cdf(0.01) - cdf(-1.0) + cdf(1.0) - cdf(0.02)
+    # one trapezoid per region leaves out the cell [0, 0.04] the state keeps
+    x, rho = fine.points, np.abs(psi.values) ** 2
+    per_region = sum(np.trapezoid(rho[(x >= a) & (x <= b)], dx=fine.h) for a, b in regions)
+    assert per_region - exact == pytest.approx(-1.2e-2, abs=1e-3)
+    assert p1 - exact == pytest.approx(3.9e-3, abs=1e-4)
 
 
 def test_collapse_zero_probability_region(grid, packet):

@@ -130,7 +130,6 @@ def test_backward_brownian_spreads(grid):
     times = np.linspace(0.0, 1.0, 501)
     n = 50000
     ens = sample_backward(ZERO, gaussian_density(grid, 0.0, 1.0), 1.0, times, n, seed=3)
-    assert ens.direction == "backward"
     var0 = ens.positions[:, 0].var()
     assert abs(var0 - 2.0) < 3.0 * np.sqrt(2.0 / n) * 2.0 + 1e-3
     # terminal column reproduces rho1 by construction
@@ -153,7 +152,7 @@ def test_empirical_density_unit_mass_and_spike(grid):
     d = empirical_density(ens, 0.0, grid)
     assert abs(integrate(d) - 1.0) < 1e-12
     # all paths exactly at one point: a single-bin spike
-    frozen = PathEnsemble(times, np.full((500, 11), 2.5), 1.0, 0, "forward")
+    frozen = PathEnsemble(times, np.full((500, 11), 2.5), 1.0)
     spike = empirical_density(frozen, 0.0, grid)
     assert np.count_nonzero(spike.values) == 1
     assert abs(integrate(spike) - 1.0) < 1e-12
@@ -236,7 +235,7 @@ def test_generator_check_reads_a_drift_table_as_a_plain_callable_does(grid, same
     values = rng.standard_normal((21, beta_grid.n_points))
     read, called = (GridDrift(times, [ScalarField(beta_grid, v) for v in values])
                     for _ in range(2))
-    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0, 0, "forward")
+    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0)
     f = ScalarField(grid, np.sin(grid.points))
     assert (generator_check(f, ens, read, 1.0)
             == generator_check(f, ens, lambda x, t: called(x, t), 1.0))
@@ -299,7 +298,7 @@ def test_grid_drift_rejects_unordered_times(grid):
 
 def test_path_integral_left_and_right_sums():
     times = np.array([0.0, 0.5, 1.5, 2.0])
-    ens = PathEnsemble(times, np.vstack([times, 2.0 * times]), 1.0, 0, "forward")
+    ens = PathEnsemble(times, np.vstack([times, 2.0 * times]), 1.0)
     assert ens.positions[:, 1].flags.c_contiguous  # path-major input is stored time-major
     g = lambda x, t: x * t
     # g = c t^2 on path c: left sum c (0 + 0.25*1 + 2.25*0.5), right c (0.25*0.5 + 2.25 + 4*0.5)
@@ -348,7 +347,7 @@ def test_ensemble_validation(grid):
         assert np.all(ens.positions == ens.positions[:, :1])
     for times in BAD_TIMES:
         with pytest.raises(ValueError, match="strictly increasing"):
-            PathEnsemble(times, np.zeros((2, 3)), 1.0, 0, "forward")
+            PathEnsemble(times, np.zeros((2, 3)), 1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
             sample_forward(ZERO, point_start(grid), 1.0, times, 10, seed=1)
     # a hand-built ensemble: finite positions and the samplers' sigma2 rule
@@ -356,18 +355,18 @@ def test_ensemble_validation(grid):
         positions = np.zeros((4, 5))
         positions[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            PathEnsemble(five, positions, 1.0, 0, "forward")
+            PathEnsemble(five, positions, 1.0)
     for bad in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="sigma2"):
-            PathEnsemble(five, np.zeros((4, 5)), bad, 0, "forward")
-    assert PathEnsemble(five, np.zeros((4, 5)), 0.0, 0, "forward").sigma2 == 0.0
+            PathEnsemble(five, np.zeros((4, 5)), bad)
+    assert PathEnsemble(five, np.zeros((4, 5)), 0.0).sigma2 == 0.0
     # positions as nested lists: a well-shaped one builds, as time-major floats
-    listed = PathEnsemble(five, [[0.0] * 5] * 4, 1.0, 0, "forward")
+    listed = PathEnsemble(five, [[0.0] * 5] * 4, 1.0)
     assert listed.positions.dtype == float and listed.positions.T.flags.c_contiguous
     # ragged, non-numeric and wrongly shaped positions are a ValueError
     for bad in ([[0.0] * 5, [0.0] * 4], [["a"] * 5] * 4, [[0.0] * 4] * 4, [0.0] * 5, [[[0.0] * 5]]):
         with pytest.raises(ValueError):
-            PathEnsemble(five, bad, 1.0, 0, "forward")
+            PathEnsemble(five, bad, 1.0)
 
 
 def test_empirical_energy_constant_drift(grid):
