@@ -22,6 +22,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     _log_gradient_values,
+    _real,
     integrate,
     l1_distance,
     normalize,
@@ -122,7 +123,7 @@ class BridgeSolution:
     log_phihat0: np.ndarray
     iterations: int
     residual: float
-    residual_history: np.ndarray = field(repr=False, default=None)
+    residual_history: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = self.problem.kernel.grid.n_points
@@ -209,13 +210,13 @@ def solve_schrodinger_system(
 def _check_partition(sol: BridgeSolution, t) -> float:
     """t, snapped to t0 or t1 within 1e-12 * max(span, 1); TimeNotStored outside [t0, t1]."""
     p = sol.problem
-    t = np.float64(t)  # None reads as NaN, which fails the range test
+    x = _real(t)  # NaN fails the range test
     tol = 1e-12 * max(1.0, abs(p.t1 - p.t0))
-    if not p.t0 - tol <= t <= p.t1 + tol:
-        raise TimeNotStored(f"time {t} lies outside [{p.t0}, {p.t1}]")
-    if abs(t - p.t0) <= tol:
+    if not p.t0 - tol <= x <= p.t1 + tol:
+        raise TimeNotStored(f"time {t!r} lies outside [{p.t0}, {p.t1}]")
+    if abs(x - p.t0) <= tol:
         return p.t0
-    return p.t1 if abs(t - p.t1) <= tol else t
+    return p.t1 if abs(x - p.t1) <= tol else x
 
 
 def _density_at(sol: BridgeSolution, t) -> DensityField:
@@ -278,7 +279,7 @@ def _wiener_flow_values(rho0: DensityField, times, sigma2: float) -> np.ndarray:
     Row 0 is rho0 itself; row k is rho0 propagated directly over [t_0, t_k].
     """
     require_finite_positive(sigma2, "sigma2")
-    times = require_time_grid(times, 1)
+    times = require_time_grid(times)
     with np.errstate(divide="ignore"):
         log_rho0 = np.log(rho0.values)
     out = np.empty((times.shape[0], rho0.grid.n_points))
@@ -291,8 +292,8 @@ def wiener_marginal_flow(rho0: DensityField, times, sigma2: float) -> list[Densi
     """Marginals of the Wiener prior started from rho0 along a time grid.
 
     Each marginal is propagated directly from rho0 over [t_0, t_k], all of
-    them in one call; the first is rho0 itself. times must be strictly
-    increasing and sigma2 finite and positive, even for a single time.
+    them in one call; the first is rho0 itself. times must be a grid of at
+    least two strictly increasing times and sigma2 finite and positive.
     """
     values = _wiener_flow_values(rho0, times, sigma2)
     return [rho0] + [DensityField(rho0.grid, row, mass_tol=None) for row in values[1:]]

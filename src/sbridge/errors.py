@@ -54,7 +54,7 @@ class DriftBlowup(ToolkitError):
 
 
 class TimeNotStored(ToolkitError):
-    """A requested time lies outside the times an object covers.
+    """A requested time is not a real number, or lies outside the times an object covers.
 
     Off the stored times of a path, beyond the stored range of a drift
     table, or outside the interval [t0, t1] of a bridge.

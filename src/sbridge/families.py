@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ComplexField, DensityField, Grid1D, ScalarField, normalize
+from .grid import ComplexField, DensityField, Grid1D, ScalarField, _real, normalize
 from .grid import require_count, require_finite_positive
 from .quantum import normalize_wavefunction
 
@@ -17,12 +17,12 @@ from .quantum import normalize_wavefunction
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> DensityField:
     require_finite_positive(var, "var")
     x = grid.points
-    # None reads as NaN, a non-finite field
-    return normalize(ScalarField(grid, np.exp(-((x - np.float64(mean)) ** 2) / (2.0 * var))))
+    # anything but a real number reads as NaN, a non-finite field
+    return normalize(ScalarField(grid, np.exp(-((x - _real(mean)) ** 2) / (2.0 * var))))
 
 
 def indicator_density(grid: Grid1D, a: float, b: float) -> DensityField:
-    a, b = np.float64(a), np.float64(b)  # None reads as NaN, refused here
+    a, b = _real(a), _real(b)  # anything but a real number reads as NaN, refused here
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     x = grid.points
@@ -37,7 +37,7 @@ def mixture_density(grid: Grid1D, components) -> DensityField:
     """
     total = np.zeros(grid.n_points)
     for weight, spec in components:
-        weight = np.float64(weight)  # None reads as NaN, refused here
+        weight = _real(weight)  # anything but a real number reads as NaN, refused here
         if not weight >= 0:
             raise ValueError(f"mixture weights must be nonnegative, got {weight}")
         total += weight * _component(grid, spec).values
@@ -63,8 +63,8 @@ def gaussian_packet(
     """
     require_finite_positive(sigma0, "sigma0")
     x = grid.points
-    # None reads as NaN, a non-finite field
-    psi = np.exp(-((x - np.float64(center)) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x)
+    # anything but a real number reads as NaN, a non-finite field
+    psi = np.exp(-((x - _real(center)) ** 2) / (4.0 * sigma0**2) + 1j * _real(k0) * x)
     return normalize_wavefunction(ComplexField(grid, psi))
 
 

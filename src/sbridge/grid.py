@@ -37,7 +37,7 @@ class Grid1D:
     def __post_init__(self):
         require_count(self.n_points, 3, "n_points")
         for name, end in (("x_min", self.x_min), ("x_max", self.x_max)):
-            if not (isinstance(end, numbers.Real) and -np.inf < end < np.inf):
+            if not -np.inf < _real(end) < np.inf:
                 raise ValueError(f"need a finite real {name}, got {end!r}")
         require_finite_positive(self.x_max - self.x_min, "x_max - x_min")
         # a width of a few subnormals leaves an end weight of 0, whose log is -inf
@@ -101,7 +101,7 @@ class DensityField(ScalarField):
     """
 
     def __init__(self, grid: Grid1D, values, mass_tol: float | None = 1e-6):
-        if mass_tol is not None and not (isinstance(mass_tol, numbers.Real) and mass_tol >= 0):
+        if mass_tol is not None and not _real(mass_tol) >= 0:
             raise ValueError(f"need mass_tol >= 0 or None, got {mass_tol!r}")
         super().__init__(grid, values)
         if np.any(self.values < 0):
@@ -129,9 +129,14 @@ def require_same_grid(*objs):
     return g0
 
 
+def _real(value) -> float:
+    """float(value) for a real number other than a bool, else NaN, which each caller refuses."""
+    return float(value) if isinstance(value, numbers.Real) and type(value) is not bool else np.nan
+
+
 def require_finite_positive(value, what: str) -> None:
     """Raise ValueError unless value is a finite real > 0; what names it in the message."""
-    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+    if not 0 < _real(value) < np.inf:
         raise ValueError(f"need finite {what} > 0, got {value}")
 
 
@@ -141,8 +146,8 @@ def require_count(n, minimum: int, what: str) -> None:
         raise ValueError(f"need an integer {what} >= {minimum}, got {n!r}")
 
 
-def require_time_grid(times, min_len: int, equal_steps: bool = False) -> np.ndarray:
-    """times as a float array: 1-D, finite, strictly increasing and at least min_len long.
+def require_time_grid(times, equal_steps: bool = False) -> np.ndarray:
+    """times as a float array: 1-D, finite, strictly increasing and at least two long.
 
     With equal_steps, time k must also lie within _time_tol of
     t0 + k (t1 - t0) / n. Anything else raises InvalidInterval, a ValueError.
@@ -152,11 +157,11 @@ def require_time_grid(times, min_len: int, equal_steps: bool = False) -> np.ndar
     kernel, passed as two times.
     """
     times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.shape[0] < min_len or not np.isfinite(times).all()
+    if (times.ndim != 1 or times.shape[0] < 2 or not np.isfinite(times).all()
             or np.any(np.diff(times) <= 0) or (equal_steps and np.max(np.abs(
                 times - np.linspace(times[0], times[-1], times.shape[0]))) > _time_tol(times))):
         raise InvalidInterval(f"need a 1-D finite strictly increasing"
-                              f"{' equally spaced' if equal_steps else ''} grid of >= {min_len} times")
+                              f"{' equally spaced' if equal_steps else ''} grid of >= 2 times")
     return times
 
 
@@ -167,11 +172,11 @@ def _time_tol(times: np.ndarray) -> float:
 
 def stored_time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored time nearest t; TimeNotStored beyond _time_tol(times) of it."""
-    t = np.float64(t)  # None reads as NaN
-    i = int(np.argmin(np.abs(times - t)))
-    # written so that a NaN t fails the match
-    if not abs(times[i] - t) <= _time_tol(times):
-        raise TimeNotStored(f"t={t} is not on the stored time grid")
+    x = _real(t)
+    i = int(np.argmin(np.abs(times - x)))
+    # written so that a NaN x fails the match
+    if not abs(times[i] - x) <= _time_tol(times):
+        raise TimeNotStored(f"t={t!r} is not on the stored time grid")
     return i
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationWarning
-from .grid import Grid1D, require_finite_positive, require_time_grid
+from .grid import Grid1D, _real, require_finite_positive, require_time_grid
 
 #: row-sum excess beyond which a kernel is considered under-resolved by the grid
 TRUNCATION_BUDGET = 1e-4
@@ -57,7 +57,7 @@ class TransitionKernel:
     variance: float
 
     def __post_init__(self):
-        require_time_grid((self.s, self.t), 2)
+        require_time_grid((_real(self.s), _real(self.t)))
         _require_variance(self.variance)
 
 
@@ -69,8 +69,8 @@ def heat_kernel(grid: Grid1D, s: float, t: float, sigma2: float) -> TransitionKe
     the grid spacing under-resolves the kernel.
     """
     require_finite_positive(sigma2, "sigma2")
-    # None reads as NaN, which TransitionKernel refuses as InvalidInterval
-    kernel = TransitionKernel(grid, s, t, sigma2 * (np.float64(t) - np.float64(s)))
+    # anything but a real number reads as NaN, which TransitionKernel refuses as InvalidInterval
+    kernel = TransitionKernel(grid, s, t, sigma2 * (_real(t) - _real(s)))
     _check_truncation(kernel)
     return kernel
 

@@ -35,6 +35,7 @@ from .grid import (
     ScalarField,
     _gradient_values,
     _log_gradient_values,
+    _real,
     _time_tol,
     require_count,
     require_finite_positive,
@@ -192,7 +193,7 @@ class WavefunctionPath:
     model: QuantumModel
 
     def __post_init__(self):
-        times = require_time_grid(self.times, 1)
+        times = require_time_grid(self.times)
         psi = np.asarray(self.psi, dtype=complex)
         grid = self.model.grid
         shape = (times.shape[0], grid.n_points)
@@ -256,17 +257,15 @@ def evolve(
     """Propagate over [t_from, t_to] storing all n_steps + 1 states.
 
     Direction follows the sign of t_to - t_from; states are stored in
-    increasing-time order either way. A zero-duration request returns the
-    input as a single-state path. One BoundaryMassWarning is raised when the
+    increasing-time order either way; t_to == t_from is refused as a zero
+    step (ValueError). One BoundaryMassWarning is raised when the
     probability mass on the nodes next to the walls exceeds WALL_MASS_TOL
     after any step: the packet has reached a wall and reflects there.
     """
     require_count(n_steps, 1, "n_steps")
     require_same_grid(psi, model)
-    # None reads as NaN, whose step _cayley refuses
-    t_from, t_to = np.float64(t_from), np.float64(t_to)
-    if t_to == t_from:
-        return WavefunctionPath(np.array([t_from]), psi.values[None, :], model)
+    # anything but a real number reads as NaN, whose step _cayley refuses
+    t_from, t_to = _real(t_from), _real(t_to)
     dt = (t_to - t_from) / n_steps
     step = _cayley(model, dt)
     rows = np.empty((n_steps + 1, model.grid.n_points), dtype=complex)
@@ -338,7 +337,7 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     """
     require_same_grid(rho1, path.model)
     # evolve runs back on equal steps: only an equally spaced path gets its own times back
-    require_time_grid(path.times, 1, equal_steps=True)
+    require_time_grid(path.times, equal_steps=True)
     grid = path.model.grid
     psi1 = path.psi[-1]
     rho = np.abs(psi1) ** 2
@@ -353,8 +352,7 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     if abs(nrm - 1.0) > NORM_TOL:
         raise NonPositiveMass(f"terminal density has mass {nrm**2!r} where the reference "
                               f"is representable; the new state would have norm {nrm!r}")
-    n_steps = max(len(path.times) - 1, 1)
-    return evolve(tilde1, path.model, path.t1, path.t0, n_steps)
+    return evolve(tilde1, path.model, path.t1, path.t0, len(path.times) - 1)
 
 
 def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
@@ -390,7 +388,6 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
         path.times, tilde_path.times, rtol=0, atol=_time_tol(path.times)
     ):
         raise ValueError("paths must share the same time grid")
-    require_time_grid(path.times, 2)  # the midpoint stencil needs one step
 
     # terminal condition: ratio real and positive where defined
     p1, q1 = path.psi[-1], tilde_path.psi[-1]
@@ -438,12 +435,12 @@ def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
     x, tol = grid.points, 1e-9 * grid.h
     mask = np.zeros(grid.n_points, dtype=bool)
     for a, b in regions:
-        a, b = np.float64(a), np.float64(b)  # None reads as NaN
-        if not np.isfinite((a, b)).all():
+        lo, hi = _real(a), _real(b)
+        if not np.isfinite((lo, hi)).all():
             raise ValueError(f"region ends must be finite, got {regions}")
-        if b < a:
-            raise ValueError(f"region [{a}, {b}] is reversed")
-        mask |= (x >= a - tol) & (x <= b + tol)
+        if hi < lo:
+            raise ValueError(f"region [{a!r}, {b!r}] is reversed")
+        mask |= (x >= lo - tol) & (x <= hi + tol)
     rho = np.abs(psi.values) ** 2
     # the mask flips at each run's first point and one past its last
     runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
@@ -463,8 +460,6 @@ def finite_action(path: WavefunctionPath) -> float:
     that the underlying state has finite action.
     """
     values = _norm_sq(path.model.grid, _gradient_values(path.psi, path.model.grid.h))
-    if path.times.shape[0] == 1:
-        return float(values[0])
     return float(np.trapezoid(values, path.times))
 
 

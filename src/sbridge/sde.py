@@ -15,7 +15,6 @@ marginals, or backward drifts + terminal marginals); both totals must agree.
 
 from __future__ import annotations
 
-import numbers
 import queue
 import threading
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .grid import (
     _gradient_values,
     _laplacian_values,
     _log_gradient_values,
+    _real,
     _slopes,
     kl_divergence,
     normalize,
@@ -63,7 +63,7 @@ class PathEnsemble:
     sigma2: float
 
     def __post_init__(self):
-        times = require_time_grid(self.times, 2)
+        times = require_time_grid(self.times)
         positions = np.asarray(self.positions, dtype=float)
         if positions.ndim != 2 or positions.shape[0] < 1 or positions.shape[1] != times.shape[0]:
             raise ValueError("positions must be (n_paths >= 1, n_times)")
@@ -92,26 +92,24 @@ class GridDrift:
     """
 
     def __init__(self, times, fields):
-        times = require_time_grid(times, 1)
+        times = require_time_grid(times)
         if times.shape[0] != len(fields):
             raise ValueError(f"need one field per stored time, got {len(fields)} fields")
         self.grid = require_same_grid(*fields)
         self.times = times
         self.table = tuple(f.values for f in fields)
         # a time within one storage step beyond either end still maps to it
-        self._slot_tol = np.min(np.diff(times)) if times.shape[0] > 1 else np.inf
+        self._slot_tol = np.min(np.diff(times))
         self.n_eval = 0
         self.n_clamped = 0
 
     def _time_slot(self, t: float) -> int:
-        t = np.float64(t)  # None reads as NaN
-        # written so that a NaN t fails the range test
-        if not self.times[0] - self._slot_tol <= t <= self.times[-1] + self._slot_tol:
-            raise TimeNotStored(
-                f"drift requested at t={t}, stored range "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        return int(np.argmin(np.abs(self.times - t)))
+        x = _real(t)
+        # written so that a NaN x fails the range test
+        if not self.times[0] - self._slot_tol <= x <= self.times[-1] + self._slot_tol:
+            raise TimeNotStored(f"drift requested at t={t!r}, stored range "
+                                f"[{self.times[0]}, {self.times[-1]}]")
+        return int(np.argmin(np.abs(self.times - x)))
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -127,7 +125,7 @@ class GridDrift:
 
 def _read(drift, cells, x, t, out) -> np.ndarray:
     """drift at (x, t): a GridDrift on the grid of cells, found at x, reads into out."""
-    if cells is not None and isinstance(drift, GridDrift) and drift.grid == cells.grid:
+    if isinstance(drift, GridDrift) and drift.grid == cells.grid:
         return drift._at_cell(cells, t, out)
     return np.asarray(drift(x, t), dtype=float)
 
@@ -200,7 +198,7 @@ class _Increments:
 
 def _require_sigma2(sigma2) -> None:
     """ValueError unless sigma2 is a finite real >= 0 (sigma2 = 0 is the noiseless ODE)."""
-    if not (isinstance(sigma2, numbers.Real) and 0 <= sigma2 < np.inf):
+    if not 0 <= _real(sigma2) < np.inf:
         raise ValueError(f"need finite sigma2 >= 0, got {sigma2}")
 
 
@@ -222,7 +220,7 @@ def _mc_mean(samples: np.ndarray) -> tuple[float, float]:
 
 
 def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
-    times = require_time_grid(times, 2)
+    times = require_time_grid(times)
     require_count(n_paths, 1, "n_paths")
     require_count(seed, 0, "seed")
     _require_sigma2(sigma2)
@@ -429,14 +427,12 @@ def _girsanov(q, p, drift_q, drift_p, ens, sigma2, direction: str) -> EntropyRep
     require_finite_positive(sigma2, "sigma2")
     _require_ensemble_sigma2(ens, sigma2)
     static = kl_divergence(q, p)
-    # drift tables read at one cell per row, on the grid of the first one
-    grid = next((d.grid for d in (drift_q, drift_p) if isinstance(d, GridDrift)), None)
-    cells = _Cells(grid, ens.n_paths) if grid is not None else None
+    # one cell per row on q's grid for both drifts; a table on another grid reads itself
+    cells = _Cells(q.grid, ens.n_paths)
     buf_q, buf_p = np.empty(ens.n_paths), np.empty(ens.n_paths)
 
     def mismatch2(x, t):
-        if cells is not None:
-            cells.find(x)
+        cells.find(x)
         d = np.subtract(_read(drift_q, cells, x, t, buf_q), _read(drift_p, cells, x, t, buf_p),
                         out=buf_q)
         return np.square(d, out=d)

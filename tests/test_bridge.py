@@ -207,6 +207,7 @@ def test_gauge_freedom_leaves_observables_unchanged(setup):
         log_phihat0=sol.log_phihat0 - np.log(c),
         iterations=sol.iterations,
         residual=sol.residual,
+        residual_history=sol.residual_history,
     )
     d1 = bridge_density(sol, 0.5)
     d2 = bridge_density(rescaled, 0.5)
@@ -287,7 +288,7 @@ def test_flow_rows_equal_single_time_flows():
     drifts = wiener_backward_drift_fields(rho0, times, 0.05)
     assert flow[0] is rho0
     assert np.array_equal(drifts[0].values,
-                          wiener_backward_drift_fields(rho0, times[:1], 0.05)[0].values)
+                          wiener_backward_drift_fields(rho0, times[:2], 0.05)[0].values)
     for k in range(1, times.size):
         assert np.array_equal(flow[k].values,
                               wiener_marginal_flow(rho0, times[[0, k]], 0.05)[-1].values)

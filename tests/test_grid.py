@@ -233,8 +233,9 @@ def interp_cases(draw):
 
 
 def _read_row(grid, values, x):
-    # one stored time: the public reader of a table row, its cell step then its lerp step
-    return GridDrift([0.0], [ScalarField(grid, values)])(x, 0.0)
+    # row 0 of a two-row table: the public reader of a row, its cell step then its lerp step
+    rows = [ScalarField(grid, values), ScalarField(grid, np.zeros(grid.n_points))]
+    return GridDrift([0.0, 1.0], rows)(x, 0.0)
 
 
 @given(interp_cases())

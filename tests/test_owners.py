@@ -6,6 +6,7 @@ owner refuses is refused on every path into it.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from sbridge.bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from sbridge.errors import GridMismatch, NonPositiveMass, TimeNotStored
+from sbridge.errors import GridMismatch, InvalidInterval, NonPositiveMass, TimeNotStored
 from sbridge.families import (box_mode, box_mode_energy, gaussian_density, gaussian_packet,
                               indicator_density, mixture_density)
 from sbridge.grid import ComplexField, DensityField, Grid1D, ScalarField
@@ -73,6 +74,8 @@ OWNERS = [
     ("np.random.Generator(", "sde.py", True),
     # sigma2 = hbar / m: QuantumModel.sigma2
     ("hbar / ", "quantum.py", True),
+    # a scalar argument is a real number other than a bool: grid._real
+    ("isinstance(value, numbers.Real)", "grid.py", True),
 ]
 
 
@@ -81,6 +84,11 @@ def test_each_rule_has_one_owner(signature, owner, package_wide):
     modules = CODE if package_wide else {owner: CODE[owner]}
     found = {name: code.count(signature) for name, code in modules.items() if signature in code}
     assert found == {owner: 1}
+
+
+def test_no_module_reads_a_number_through_np_float64():
+    # np.float64(...) takes a numeric string, a bool or a one-element list; grid._real does not
+    assert not {name for name, code in CODE.items() if "np.float64(" in code}
 
 
 GRID = Grid1D(-8.0, 8.0, 161)
@@ -108,10 +116,6 @@ def _table():
 
 
 @pytest.mark.parametrize("call, error", [
-    pytest.param(lambda: wiener_marginal_flow(RHO, [0.0], np.nan), ValueError,
-                 id="wiener_marginal_flow-one-time-nan-sigma2"),
-    pytest.param(lambda: wiener_backward_drift_fields(RHO, [0.0], -1.0), ValueError,
-                 id="wiener_backward_drift_fields-one-time-negative-sigma2"),
     pytest.param(lambda: duality_check(ZERO, ZERO, RHO, np.nan), ValueError,
                  id="duality_check-nan-sigma2"),
     pytest.param(_generator_check_at_4, ValueError,
@@ -276,24 +280,94 @@ def test_each_condition_raises_one_class(call, error):
         call()
 
 
-@pytest.mark.parametrize("call, message", [
-    # a refused grid end is named with the value given
-    pytest.param(lambda: Grid1D(0.0, None, 5), "finite real x_max, got None",
+@pytest.mark.parametrize("call, error, message", [
+    # a refused grid end or time is named with the value given
+    pytest.param(lambda: Grid1D(0.0, None, 5), ValueError, "finite real x_max, got None",
                  id="Grid1D-None-x_max"),
-    pytest.param(lambda: Grid1D("a", 1.0, 5), "finite real x_min, got 'a'", id="Grid1D-str-x_min"),
+    pytest.param(lambda: Grid1D("a", 1.0, 5), ValueError, "finite real x_min, got 'a'",
+                 id="Grid1D-str-x_min"),
+    pytest.param(lambda: Grid1D(False, True, 5), ValueError, "finite real x_min, got False",
+                 id="Grid1D-bool-ends"),
+    pytest.param(lambda: _path_under(QuantumModel.free(GRID)).density_at("0.5"), TimeNotStored,
+                 "t='0.5' is not on the stored time grid", id="density_at-str-t"),
+    # a sigma2 refused on a flow of two times, not the interval of one
+    pytest.param(lambda: wiener_marginal_flow(RHO, [0.0, 1.0], np.nan), ValueError, "sigma2",
+                 id="wiener_marginal_flow-nan-sigma2"),
+    pytest.param(lambda: wiener_backward_drift_fields(RHO, [0.0, 1.0], -1.0), ValueError,
+                 "sigma2", id="wiener_backward_drift_fields-negative-sigma2"),
     # log values are checked before numpy broadcasts them against the weights
-    pytest.param(lambda: log_heat_propagate(GRID, np.zeros((2, 161)), 1.0),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros((2, 161)), 1.0), ValueError,
                  r"expected 161 log values, got shape \(2, 161\)",
                  id="log_heat_propagate-wrong-shape"),
-    pytest.param(lambda: log_heat_propagate(Grid1D(-1.0, 1.0, 11), [0.0], 1.0),
+    pytest.param(lambda: log_heat_propagate(Grid1D(-1.0, 1.0, 11), [0.0], 1.0), ValueError,
                  r"expected 11 log values, got shape \(1,\)", id="log_heat_propagate-one-value"),
-    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(160), 1.0),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(160), 1.0), ValueError,
                  r"expected 161 log values, got shape \(160,\)",
                  id="log_heat_propagate-one-short"),
 ])
-def test_refusal_names_the_input(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_refusal_names_the_input(call, error, message):
+    with pytest.raises(error, match=message):
         call()
+
+
+@cache
+def _unit_path():
+    return evolve(gaussian_packet(GRID), QuantumModel.free(GRID), 0.0, 1.0, 4)
+
+
+@cache
+def _solution():
+    return solve_schrodinger_system(_problem())
+
+
+#: every reader of a scalar argument, with 1.0 a value it accepts, and the
+#: class it refuses anything but a real number with (grid._real reads NaN)
+SCALAR_READERS = {
+    "Grid1D-x_min": (lambda v: Grid1D(v, 2.0, 5), ValueError),
+    "Grid1D-x_max": (lambda v: Grid1D(0.0, v, 5), ValueError),
+    "DensityField-mass_tol": (lambda v: DensityField(GRID, RHO.values, mass_tol=v), ValueError),
+    "gaussian_density-var": (lambda v: gaussian_density(GRID, 0.0, v), ValueError),
+    "QuantumModel-hbar": (lambda v: QuantumModel(v, 1.0, ScalarField(GRID, np.zeros(161)), GRID),
+                          ValueError),
+    "sample_forward-sigma2": (lambda v: sample_forward(ZERO, RHO, v, [0.0, 1.0], 4, seed=1),
+                              ValueError),
+    "density_at-t": (lambda v: _unit_path().density_at(v), TimeNotStored),
+    "empirical_density-t": (lambda v: empirical_density(_ensemble(), v, GRID), TimeNotStored),
+    "GridDrift-t": (lambda v: _table()(GRID.points, v), TimeNotStored),
+    "bridge_density-t": (lambda v: bridge_density(_solution(), v), TimeNotStored),
+    "heat_kernel-s": (lambda v: heat_kernel(GRID, v, 2.0, 1.0), InvalidInterval),
+    "heat_kernel-t": (lambda v: heat_kernel(GRID, 0.0, v, 1.0), InvalidInterval),
+    "evolve-t_from": (lambda v: evolve(gaussian_packet(GRID), QuantumModel.free(GRID), v, 0.0, 4),
+                      ValueError),
+    "evolve-t_to": (lambda v: evolve(gaussian_packet(GRID), QuantumModel.free(GRID), 0.0, v, 4),
+                    ValueError),
+    "collapse-a": (lambda v: collapse(gaussian_packet(GRID), (v, 2.0)), ValueError),
+    "collapse-b": (lambda v: collapse(gaussian_packet(GRID), (0.0, v)), ValueError),
+    "gaussian_density-mean": (lambda v: gaussian_density(GRID, v, 1.0), ValueError),
+    "indicator_density-a": (lambda v: indicator_density(GRID, v, 2.0), ValueError),
+    "indicator_density-b": (lambda v: indicator_density(GRID, 0.0, v), ValueError),
+    "mixture_density-weight": (lambda v: mixture_density(GRID, [(v, {"kind": "gaussian",
+                                                                     "mean": 0.0, "var": 1.0})]),
+                               ValueError),
+    "gaussian_packet-center": (lambda v: gaussian_packet(GRID, v, 1.0), ValueError),
+    "gaussian_packet-k0": (lambda v: gaussian_packet(GRID, 0.0, 1.0, v), ValueError),
+}
+
+#: what numpy's float64 read as 1.0, and None
+NON_REALS = {"bool": True, "str": "1", "list": [1.0], "None": None}
+
+
+@pytest.mark.parametrize("reader, value", [
+    pytest.param(reader, value, id=f"{reader}-{kind}")
+    for reader in SCALAR_READERS for kind, value in NON_REALS.items()
+    # None is the documented "skip the mass check"
+    if (reader, kind) != ("DensityField-mass_tol", "None")
+])
+def test_a_scalar_argument_is_a_real_number(reader, value):
+    call, error = SCALAR_READERS[reader]
+    call(1.0)
+    with pytest.raises(error):
+        call(value)
 
 
 def _imports(path: Path):

@@ -315,10 +315,10 @@ def test_path_stores_psi_read_only(model, packet):
     assert all(np.array_equal(s.values, row) for s, row in zip(path.states, path.psi))
 
 
-def test_evolve_zero_duration_returns_input(model, packet):
-    path = evolve(packet, model, 0.5, 0.5, 10)
-    assert len(path.states) == 1
-    assert np.array_equal(path.states[0].values, packet.values)
+def test_evolve_zero_duration_is_refused(model, packet):
+    # every path has two ends: t_to == t_from is a zero step, refused like any other
+    with pytest.raises(ValueError, match="time step"):
+        evolve(packet, model, 0.5, 0.5, 10)
 
 
 def test_evolve_round_trip(model, packet):
@@ -619,16 +619,16 @@ def test_collapse_zero_probability_region(grid, packet):
 def test_finite_action_box_mode():
     g = Grid1D(0.0, np.pi, 401)
     psi = box_mode(g, n_mode=1)  # gradient norm k^2 = 1
-    # a zero-duration path holds the one state, and its action is that state's gradient norm
-    single = evolve(psi, QuantumModel.free(g), 0.0, 0.0, 1)
-    assert finite_action(single) == pytest.approx(1.0, abs=1e-3)
+    # one state held over a unit time: the action is that state's gradient norm
+    still = WavefunctionPath([0.0, 1.0], [psi.values, psi.values], QuantumModel.free(g))
+    assert finite_action(still) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_finite_action_gaussian_packet():
     g = Grid1D(-8.0, 8.0, 801)
     psi = gaussian_packet(g, center=0.0, sigma0=1.0)
-    single = evolve(psi, QuantumModel.free(g), 0.0, 0.0, 1)
-    assert finite_action(single) == pytest.approx(0.25, abs=1e-4)
+    still = WavefunctionPath([0.0, 1.0], [psi.values, psi.values], QuantumModel.free(g))
+    assert finite_action(still) == pytest.approx(0.25, abs=1e-4)
 
 
 def test_finite_action_phase_invariance(grid, model, packet):
