@@ -149,6 +149,7 @@ def require_count(n, minimum: int, what: str) -> None:
 def require_time_grid(times, equal_steps: bool = False) -> np.ndarray:
     """times as a float array: 1-D, finite, strictly increasing and at least two long.
 
+    Entries are read as _real reads a scalar: a bool, a string or None is NaN.
     With equal_steps, time k must also lie within _time_tol of
     t0 + k (t1 - t0) / n. Anything else raises InvalidInterval, a ValueError.
     This is the one test of a time grid: the stored times of ensembles, drift
@@ -156,7 +157,8 @@ def require_time_grid(times, equal_steps: bool = False) -> np.ndarray:
     quantum_bridge evolves back on, and the interval [s, t] of a transition
     kernel, passed as two times.
     """
-    times = np.asarray(times, dtype=float)
+    raw = np.asarray(times)
+    times = raw.astype(float, copy=False) if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
     if (times.ndim != 1 or times.shape[0] < 2 or not np.isfinite(times).all()
             or np.any(np.diff(times) <= 0) or (equal_steps and np.max(np.abs(
                 times - np.linspace(times[0], times[-1], times.shape[0]))) > _time_tol(times))):

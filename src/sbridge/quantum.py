@@ -62,8 +62,7 @@ TERMINAL_PHASE_TOL = 1e-10
 #: 3267 unknowns the separators' system is under 100 x 100, which OpenBLAS inverts on one thread
 _CAYLEY_SEGMENT = 32
 
-#: rows per block where a check runs over all states or steps of a path; a
-#: block bounds the temporaries, a full (n_times, n_points) stack would not
+#: rows per block of a WavefunctionPath's norm check; a block bounds its temporaries
 _ROW_BLOCK = 16
 
 
@@ -323,17 +322,20 @@ def drifts(psi: ComplexField, model: QuantumModel) -> DriftDecomposition:
 
 
 def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPath:
-    """Recondition a wavefunction path on a new terminal density.
+    """Recondition a wavefunction path on a new terminal density rho1.
 
-    The terminal state is replaced by sqrt(rho1 / |psi(t1)|^2) * psi(t1) --
-    same phase, new amplitude, with no phase ever extracted -- and evolved
-    backward to t0 under the same model. SupportViolation is raised when
-    rho1 places more than STRAY_MASS_TOL of mass over the node region of
-    the reference state (grid.require_negligible_mass); points where the
-    reference density is not representable at all contribute zero.
-    NonPositiveMass is raised, never a renormalization, when the new state
-    misses unit norm by more than NORM_TOL, and InvalidInterval when the
-    path's times are not equally spaced within the stored-time tolerance.
+    The result is the Nelson process of the same H whose terminal state has
+    amplitude sqrt(rho1) and the phase of psi(t1), so its current drift at t1
+    is kept: sqrt(rho1 / |psi(t1)|^2) * psi(t1), no phase ever extracted,
+    evolved back to t0. It is not claimed entropy-closest: some terminal phase
+    kicks give same-H processes with law rho1 closer to the path's own.
+    SupportViolation is raised when rho1 places more than STRAY_MASS_TOL of
+    mass over the node region of the reference state
+    (grid.require_negligible_mass); points where the reference density is
+    not representable at all contribute zero. NonPositiveMass is raised,
+    never a renormalization, when the new state misses unit norm by more
+    than NORM_TOL, and InvalidInterval when the path's times are not equally
+    spaced within the stored-time tolerance.
     """
     require_same_grid(rho1, path.model)
     # evolve runs back on equal steps: only an equally spaced path gets its own times back
@@ -345,8 +347,7 @@ def quantum_bridge(path: WavefunctionPath, rho1: DensityField) -> WavefunctionPa
     # replace the amplitude pointwise wherever the reference density is
     # representable, so the identity case stays exact to roundoff; below
     # 1e-250 the ratio rho1/rho would overflow, and such points carry no mass
-    dead = rho < 1e-250
-    ratio = np.where(dead, 0.0, rho1.values / np.where(dead, 1.0, rho))
+    ratio = np.divide(rho1.values, rho, out=np.zeros_like(rho), where=rho >= 1e-250)
     tilde1 = ComplexField(grid, np.sqrt(ratio) * psi1)
     nrm = norm_l2(tilde1)
     if abs(nrm - 1.0) > NORM_TOL:
@@ -401,56 +402,56 @@ def hjb_residual(path: WavefunctionPath, tilde_path: WavefunctionPath) -> float:
             f"(tolerance {TERMINAL_PHASE_TOL:.0e})"
         )
 
-    def midpoint_defect(p, steps, dt):
-        # S and the midpoint state of the steps in a block, one row per step
-        a, b = p.psi[steps], p.psi[steps.start + 1:steps.stop + 1]
+    def midpoint_defect(p, k, dt):
+        # S and the midpoint state of step k on the interior nodes
+        a, b = p.psi[k], p.psi[k + 1]
         mid = 0.5 * (a + b)
-        defect = (b[:, 1:-1] - a[:, 1:-1]) / dt + (1j / model.hbar) * _dirichlet_apply_h(model, mid)
-        return mid[:, 1:-1], defect
+        defect = (b[1:-1] - a[1:-1]) / dt + (1j / model.hbar) * _dirichlet_apply_h(model, mid)
+        return mid[1:-1], defect
 
-    dts = np.diff(path.times)
     total = 0.0
-    for start in range(0, dts.shape[0], _ROW_BLOCK):
-        steps = slice(start, min(start + _ROW_BLOCK, dts.shape[0]))
-        dt = dts[steps, None]
-        mid_p, s_p = midpoint_defect(path, steps, dt)
-        mid_q, s_q = midpoint_defect(tilde_path, steps, dt)
+    for k, dt in enumerate(np.diff(path.times)):
+        mid_p, s_p = midpoint_defect(path, k, dt)
+        mid_q, s_q = midpoint_defect(tilde_path, k, dt)
         mask = _off_node(np.abs(mid_p) ** 2) & _off_node(np.abs(mid_q) ** 2)
-        res = np.divide(s_q, mid_q, out=np.zeros_like(s_q), where=mask)
-        res -= np.divide(s_p, mid_p, out=np.zeros_like(s_p), where=mask)
-        total += float(dts[steps] @ (np.abs(res) ** 2).sum(axis=1))
+        res = s_q[mask] / mid_q[mask] - s_p[mask] / mid_p[mask]
+        total += dt * float(np.sum(np.abs(res) ** 2))
     return float(np.sqrt(model.grid.h * total))
 
 
 def collapse(psi: ComplexField, regions) -> tuple[ComplexField, float]:
     """Condition a state on the region union D: (chi_D psi / ||chi_D psi||, p1).
 
-    regions is one (a, b) pair or an iterable of pairs. p1, the probability
-    of finding the particle in D, is the trapezoid integral of |psi|^2 over
-    each run of grid points in D (run-end points half-weighted); the collapsed
-    state is exactly zero outside D and normalized in the grid's L2 norm.
+    regions is one (a, b) pair, its first entry a scalar, or an iterable of
+    pairs (else ValueError). p1, the probability of finding the particle in
+    D, is the trapezoid h/2 sum (|psi_k|^2 + |psi_k+1|^2) over the cells
+    with both ends in D; the collapsed state is exactly zero outside D and
+    normalized in the grid's L2 norm.
     """
-    regions = [tuple(regions)] if np.ndim(regions) == 1 else list(regions)
+    try:
+        items = list(regions)
+        pairs = [(a, b) for a, b in ([items] if np.ndim(items[0]) == 0 else items)]
+    except (TypeError, ValueError, IndexError):
+        raise ValueError(f"regions must be one (a, b) pair or an iterable of pairs, "
+                         f"got {regions!r}") from None
     grid = psi.grid
     x, tol = grid.points, 1e-9 * grid.h
     mask = np.zeros(grid.n_points, dtype=bool)
-    for a, b in regions:
+    for a, b in pairs:
         lo, hi = _real(a), _real(b)
         if not np.isfinite((lo, hi)).all():
-            raise ValueError(f"region ends must be finite, got {regions}")
+            raise ValueError(f"region ends must be finite, got {regions!r}")
         if hi < lo:
             raise ValueError(f"region [{a!r}, {b!r}] is reversed")
         mask |= (x >= lo - tol) & (x <= hi + tol)
     rho = np.abs(psi.values) ** 2
-    # the mask flips at each run's first point and one past its last
-    runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
-    p1 = sum(grid.h * (rho[i:j].sum() - 0.5 * (rho[i] + rho[j - 1])) for i, j in runs)
-    # an empty mask, or runs of one point each, carries no mass
+    # an empty mask, or runs of one point each, has no cell in D and carries no mass
+    p1 = 0.5 * grid.h * float(np.dot(mask[:-1] & mask[1:], rho[:-1] + rho[1:]))
     if p1 <= 0.0:
-        raise ZeroProbabilityRegion(f"regions {regions} carry no probability mass")
+        raise ZeroProbabilityRegion(f"regions {regions!r} carry no probability mass")
 
     chi_psi = np.where(mask, psi.values, 0.0)
-    return normalize_wavefunction(ComplexField(grid, chi_psi)), float(p1)
+    return normalize_wavefunction(ComplexField(grid, chi_psi)), p1
 
 
 def finite_action(path: WavefunctionPath) -> float:

@@ -124,3 +124,26 @@ def serial_euler_maruyama(drift, rho, sigma2, times, n_paths, seed, backward=Fal
             x = inc + x
             out[dst, start:stop] = x
     return out.T
+
+
+def mccann_density(grid, rho0, rho1, t):
+    """Density at time t of McCann's displacement interpolation from rho0 to rho1.
+
+    In 1-D the optimal transport map is monotone, so the interpolant's
+    quantile function is F_t^-1 = (1 - t) F_0^-1 + t F_1^-1. F_0 and F_1 are
+    the trapezoid CDFs of the positive marginal values, linear between nodes,
+    so both quantile functions are linear between the merged levels u of the
+    two CDFs, and F_t is linear between the points (1 - t) F_0^-1(u) +
+    t F_1^-1(u). The density is the gradient of F_t at the nodes (central
+    differences inside, one-sided at the ends).
+    """
+    x, w = _nodes(grid)
+
+    def cdf(rho):
+        c = np.concatenate([[0.0], np.cumsum(0.5 * w[1] * (rho[:-1] + rho[1:]))])
+        return c / c[-1]
+
+    f0, f1 = cdf(rho0), cdf(rho1)
+    u = np.union1d(f0, f1)
+    x_t = (1.0 - t) * np.interp(u, f0, x) + t * np.interp(u, f1, x)
+    return np.gradient(np.interp(x, x_t, u), w[1])

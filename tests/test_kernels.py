@@ -97,6 +97,18 @@ def test_truncation_warning_on_narrow_domain():
         heat_kernel(narrow, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("domain, t, sigma2, message", [
+    pytest.param(Grid1D(-2.0, 2.0, 81), 1.0, 1.0, "narrower than 12 kernel widths", id="narrow"),
+    pytest.param(Grid1D(-8.0, 8.0, 401), 0.01, 0.05, "under-resolved", id="under-resolved"),
+])
+def test_a_kernel_built_directly_is_checked_and_warns_at_its_caller(domain, t, sigma2, message):
+    # heat_kernel names the constructor, so no kernel skips the truncation check
+    with pytest.warns(TruncationWarning, match=message) as caught:
+        kernel = TransitionKernel(domain, 0.0, t, sigma2)
+    assert [w.filename for w in caught] == [__file__]
+    assert kernel.variance == sigma2 * t
+
+
 def test_compose_matches_direct_kernel_on_bulk(grid, k01):
     # v1 then v2 equals v1 + v2, up to the domain cut of the intermediate field
     bulk = np.flatnonzero(np.abs(grid.points) <= 5.0)

@@ -16,6 +16,7 @@ import sbridge
 from sbridge.bridge import (
     BridgeProblem,
     bridge_density,
+    bridge_drift_fields,
     solve_schrodinger_system,
     wiener_backward_drift_fields,
     wiener_marginal_flow,
@@ -157,6 +158,27 @@ def _table():
     pytest.param(lambda: empirical_density(_ensemble(), None, GRID), TimeNotStored,
                  id="empirical_density-None-t"),
     pytest.param(lambda: _table()(GRID.points, None), TimeNotStored, id="GridDrift-None-t"),
+    # the entries of a time array are read as grid._real reads a scalar
+    pytest.param(lambda: GridDrift(["0", "1"], [ScalarField(GRID, np.zeros(161))] * 2),
+                 InvalidInterval, id="GridDrift-str-times"),
+    pytest.param(lambda: GridDrift([False, True], [ScalarField(GRID, np.zeros(161))] * 2),
+                 InvalidInterval, id="GridDrift-bool-times"),
+    pytest.param(lambda: sample_forward(ZERO, RHO, 1.0, ["0", "0.5"], 10, seed=1),
+                 InvalidInterval, id="sample_forward-str-times"),
+    pytest.param(lambda: wiener_marginal_flow(RHO, ["0", "1"], 1.0), InvalidInterval,
+                 id="wiener_marginal_flow-str-times"),
+    pytest.param(lambda: PathEnsemble(["0", "1"], np.zeros((4, 2)), 1.0), InvalidInterval,
+                 id="PathEnsemble-str-times"),
+    pytest.param(lambda: PathEnsemble([False, True], np.zeros((4, 2)), 1.0), InvalidInterval,
+                 id="PathEnsemble-bool-times"),
+    pytest.param(lambda: WavefunctionPath(["0", "1"], _unit_path().psi[:2], _unit_path().model),
+                 InvalidInterval, id="WavefunctionPath-str-times"),
+    pytest.param(lambda: WavefunctionPath([None, 1.0], _unit_path().psi[:2], _unit_path().model),
+                 InvalidInterval, id="WavefunctionPath-None-time"),
+    pytest.param(lambda: bridge_drift_fields(_solution(), ["0.5"]), TimeNotStored,
+                 id="bridge_drift_fields-str-t"),
+    pytest.param(lambda: bridge_drift_fields(_solution(), [True]), TimeNotStored,
+                 id="bridge_drift_fields-bool-t"),
     pytest.param(lambda: path_integral(_ensemble(), ZERO, "middle"), ValueError,
                  id="path_integral-unknown-endpoint"),
     # a tolerance no residual can fall below, or that accepts any mass
@@ -178,6 +200,14 @@ def _table():
 def test_sigma2_and_interval_checks_reach_every_caller(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("times", [[0, 1], np.arange(2), [0.0, 1.0], [np.int64(0), 1.0]],
+                         ids=["int-list", "int-array", "float-list", "mixed"])
+def test_integer_and_float_time_arrays_are_times(times):
+    table = GridDrift(times, [ScalarField(GRID, np.zeros(161))] * 2)
+    assert table.times.dtype == float and table.times.tolist() == [0.0, 1.0]
+    assert len(bridge_drift_fields(_solution(), times)) == 2
 
 
 def _count_calls():
@@ -304,6 +334,18 @@ def test_each_condition_raises_one_class(call, error):
     pytest.param(lambda: log_heat_propagate(GRID, np.zeros(160), 1.0), ValueError,
                  r"expected 161 log values, got shape \(160,\)",
                  id="log_heat_propagate-one-short"),
+    # regions is one (a, b) pair or an iterable of pairs, named as given when refused
+    pytest.param(lambda: collapse(gaussian_packet(GRID), ([0.5], 1.0)), ValueError,
+                 r"one \(a, b\) pair or an iterable of pairs, got \(\[0\.5\], 1\.0\)",
+                 id="collapse-list-region-end"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), (0.0, 1.0, 2.0)), ValueError,
+                 r"pairs, got \(0\.0, 1\.0, 2\.0\)", id="collapse-triple"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), 1.0), ValueError, "pairs, got 1.0",
+                 id="collapse-scalar-regions"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), []), ValueError, r"pairs, got \[\]",
+                 id="collapse-no-regions"),
+    pytest.param(lambda: collapse(gaussian_packet(GRID), [(0.0, 1.0), (2.0,)]), ValueError,
+                 r"pairs, got \[\(0\.0, 1\.0\), \(2\.0,\)\]", id="collapse-short-pair"),
 ])
 def test_refusal_names_the_input(call, error, message):
     with pytest.raises(error, match=message):

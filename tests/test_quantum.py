@@ -390,6 +390,22 @@ def test_drift_mask_is_read_only(model, packet):
         mask[0] = not mask[0]
 
 
+@pytest.mark.parametrize("n", [201, 2001])
+def test_conjugate_state_has_the_time_reversed_drifts(n):
+    # psi* is psi run backward in time: (beta, gamma) becomes (-gamma, -beta), bit for
+    # bit, on the same mask; every state of the trap path and of its reconditioning
+    grid = Grid1D(-10.0, 10.0, n)
+    trap = QuantumModel(1.0, 1.0, ScalarField(grid, grid.points**2 / 8.0), grid)
+    path = evolve(gaussian_packet(grid, center=-1.0, sigma0=1.0, k0=1.0), trap, 0.0, 1.0, 40)
+    for p in (path, quantum_bridge(path, gaussian_density(grid, 0.5, 1.0))):
+        for state in p.states:
+            d = drifts(state, trap)
+            rev = drifts(ComplexField(grid, np.conj(state.values)), trap)
+            assert np.array_equal(rev.beta.values, -d.gamma.values)
+            assert np.array_equal(rev.gamma.values, -d.beta.values)
+            assert np.array_equal(rev.mask, d.mask)
+
+
 def test_quantum_bridge_identity_case(grid, model, packet):
     path = evolve(packet, model, 0.0, 1.0, 400)
     rho1 = DensityField(grid, np.abs(path.states[-1].values) ** 2, mass_tol=1e-6)
