@@ -1,6 +1,8 @@
 """Classical and quantum Schrodinger bridges on uniform 1-D grids.
 
 The names below are the public API; each module's docstring describes its layer.
+The pipelines' named inputs sit with the types they build: the Gaussian,
+indicator and mixture densities in grid, the packet and box modes in quantum.
 """
 
 from . import errors
@@ -15,34 +17,31 @@ from .bridge import (
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
-from .families import (
-    box_mode,
-    box_mode_energy,
-    gaussian_density,
-    gaussian_packet,
-    indicator_density,
-    mixture_density,
-)
 from .grid import (
     ComplexField,
     DensityField,
     Grid1D,
     ScalarField,
+    gaussian_density,
+    indicator_density,
     integrate,
     kl_divergence,
     l1_distance,
+    mixture_density,
     normalize,
 )
-from .kernels import TransitionKernel, heat_kernel
+from .kernels import heat_kernel
 from .quantum import (
     DriftDecomposition,
     QuantumModel,
     WavefunctionPath,
+    box_mode,
     collapse,
     drifts,
     energy,
     evolve,
     finite_action,
+    gaussian_packet,
     hjb_residual,
     norm_l2,
     normalize_wavefunction,

@@ -255,12 +255,15 @@ def time_reverse(sol: BridgeSolution) -> BridgeSolution:
 
 
 def bridge_drift_fields(sol: BridgeSolution, times) -> list[ScalarField]:
-    """Forward drifts sigma2 * grad log phi(., t) of the bridge at each of the given times.
+    """Forward drifts sigma2 * grad log phi(., t) of the bridge at a 1-D sequence of times.
 
-    Each t must lie in [t0, t1]. One propagation of the finite log phi1 over all the
-    spans t1 - t, so log phi stays finite and only an overflowing gradient fails, then
-    one gradient over the stack; the fields feed a time-indexed drift to the samplers.
+    Other times are InvalidInterval, and a t outside [t0, t1] is TimeNotStored. One
+    propagation of the finite log phi1 over all the spans t1 - t, so log phi stays finite
+    and only an overflowing gradient fails, then one gradient over the stack; the fields
+    feed a time-indexed drift to the samplers.
     """
+    if np.ndim(times) != 1:
+        require_time_grid(times)  # refuses anything but 1-D times as InvalidInterval
     p = sol.problem
     grid = p.kernel.grid
     spans = [p.t1 - _check_partition(sol, t) for t in times]

@@ -2,8 +2,9 @@
 
 Every other module builds on the types here. Fields are immutable after
 construction and carry their grid with them; mixing grids raises GridMismatch
-instead of resampling silently. The L1 distance and the Kullback-Leibler
-divergence sit with the floor and stray-mass rules they read.
+instead of resampling silently. The Gaussian, indicator and mixture densities
+the pipelines start from sit beside normalize; the L1 distance and the
+Kullback-Leibler divergence sit with the floor and stray-mass rules they read.
 """
 
 from __future__ import annotations
@@ -281,6 +282,47 @@ def normalize(f: ScalarField) -> DensityField:
     if not mass > 0:
         raise NonPositiveMass(f"cannot normalize: mass {mass!r}")
     return DensityField(f.grid, f.values / mass, mass_tol=1e-10)
+
+
+def gaussian_density(grid: Grid1D, mean: float, var: float) -> DensityField:
+    require_finite_positive(var, "var")
+    x = grid.points
+    # anything but a real number reads as NaN, a non-finite field
+    return normalize(ScalarField(grid, np.exp(-((x - _real(mean)) ** 2) / (2.0 * var))))
+
+
+def indicator_density(grid: Grid1D, a: float, b: float) -> DensityField:
+    a, b = _real(a), _real(b)  # anything but a real number reads as NaN, refused here
+    if not b > a:
+        raise ValueError(f"need b > a, got [{a}, {b}]")
+    x = grid.points
+    return normalize(ScalarField(grid, ((x >= a) & (x <= b)).astype(float)))
+
+
+#: each kind of mixture component: its density and the keys of its arguments
+_KINDS = {"gaussian": (gaussian_density, ("mean", "var")),
+          "indicator": (indicator_density, ("a", "b"))}
+
+
+def mixture_density(grid: Grid1D, components) -> DensityField:
+    """components: iterable of (weight, descriptor dict); ValueError names any other item.
+
+    A descriptor is {"kind": "gaussian", "mean": ..., "var": ...} or
+    {"kind": "indicator", "a": ..., "b": ...}.
+    """
+    total = np.zeros(grid.n_points)
+    for item in components:
+        spec = item[1] if isinstance(item, (tuple, list)) and len(item) == 2 else None
+        if isinstance(spec, dict) and spec.get("kind") not in _KINDS:
+            raise ValueError(f"unknown density kind {spec.get('kind')!r}")
+        if not isinstance(spec, dict) or not all(key in spec for key in _KINDS[spec["kind"]][1]):
+            raise ValueError(f"a mixture component is (weight, descriptor), got {item!r}")
+        weight = _real(item[0])  # anything but a real number reads as NaN, refused here
+        if not weight >= 0:
+            raise ValueError(f"mixture weights must be nonnegative, got {weight}")
+        density, keys = _KINDS[spec["kind"]]
+        total += weight * density(grid, *(spec[key] for key in keys)).values
+    return normalize(ScalarField(grid, total))
 
 
 def l1_distance(f, g) -> float:

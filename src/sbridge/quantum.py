@@ -5,14 +5,14 @@ homogeneous Dirichlet walls at the grid endpoints x_min and x_max. One
 convention holds throughout the module: the Hamiltonian acts on the interior
 nodes, the endpoint entries of a state pass through every step unchanged, and
 norms are trapezoid quadratures. The step therefore preserves the trapezoid
-norm exactly, a negative step is exactly inverse to a positive one, and the
-box modes of families.box_mode are exact eigenvectors. evolve builds the
-step's factor once, a partitioned solve from numpy alone (_cayley), and
-writes each step into one row of a time-major array, which a
-WavefunctionPath stores. On top of the evolved wavefunctions sit Nelson's
-forward and backward drifts of a state, the terminal reconditioning of a
-path on a new terminal density, the log-ratio transport residual, the
-collapse operator and the gradient-action diagnostic.
+norm exactly, and a negative step is exactly inverse to a positive one. The
+Gaussian packet and the box modes, exact eigenvectors of the step, sit beside
+normalize_wavefunction. evolve builds the step's factor once, a partitioned
+solve from numpy alone (_cayley), and writes each step into one row of a
+time-major array, which a WavefunctionPath stores. On top of the evolved
+wavefunctions sit Nelson's forward and backward drifts of a state, the
+terminal reconditioning of a path on a new terminal density, the log-ratio
+transport residual, the collapse operator and the gradient-action diagnostic.
 """
 
 from __future__ import annotations
@@ -244,6 +244,29 @@ def normalize_wavefunction(psi: ComplexField) -> ComplexField:
     if nrm == 0:
         raise NonPositiveMass("cannot normalize the zero state")
     return ComplexField(psi.grid, psi.values / nrm)
+
+
+def gaussian_packet(grid: Grid1D, center: float = 0.0, sigma0: float = 1.0,
+                    k0: float = 0.0) -> ComplexField:
+    """Minimum-uncertainty packet exp(-(x-c)^2/(4 sigma0^2) + i k0 x), unit norm.
+
+    |psi|^2 is a Gaussian density with standard deviation sigma0; k0 is the
+    carrier wavenumber (group velocity hbar k0 / m).
+    """
+    require_finite_positive(sigma0, "sigma0")
+    x = grid.points
+    # anything but a real number reads as NaN, a non-finite field
+    psi = np.exp(-((x - _real(center)) ** 2) / (4.0 * sigma0**2) + 1j * _real(k0) * x)
+    return normalize_wavefunction(ComplexField(grid, psi))
+
+
+def box_mode(grid: Grid1D, n_mode: int = 1) -> ComplexField:
+    """n-th Dirichlet eigenstate sin(n pi (x - x_min) / L) of the domain box."""
+    require_count(n_mode, 1, "n_mode")
+    x = grid.points
+    length = grid.x_max - grid.x_min
+    vals = np.sin(n_mode * np.pi * (x - grid.x_min) / length)
+    return normalize_wavefunction(ComplexField(grid, vals.astype(complex)))
 
 
 def evolve(

@@ -92,6 +92,12 @@ def cayley_step(psi, hbar, m, potential, h, dt):
     return out
 
 
+def box_mode_energy(grid, n_mode, hbar, m):
+    """Continuum energy hbar^2 k^2 / (2 m), k = n pi / L, of the n-th mode of the box."""
+    k = n_mode * np.pi / (grid.x_max - grid.x_min)
+    return hbar**2 * k**2 / (2.0 * m)
+
+
 def serial_euler_maruyama(drift, rho, sigma2, times, n_paths, seed, backward=False):
     """Euler-Maruyama on one thread, path blocks one after another; (n_paths, n_times).
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
+from sbridge import gaussian_density, indicator_density, mixture_density
 from sbridge.bridge import (
     BridgeProblem,
     BridgeSolution,
@@ -21,7 +22,6 @@ from sbridge.bridge import (
 )
 import sbridge.bridge
 from sbridge.errors import NoConvergence, TimeNotStored, TruncationWarning
-from sbridge.families import gaussian_density, indicator_density, mixture_density
 from sbridge.grid import (Grid1D, ScalarField, _log_gradient_values, integrate, kl_divergence,
                           normalize)
 from sbridge.kernels import TransitionKernel, heat_kernel

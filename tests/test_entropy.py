@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from sbridge import gaussian_density
 from sbridge.errors import InfiniteEntropy, SupportViolation
-from sbridge.families import gaussian_density
 from sbridge.grid import DensityField, Grid1D, ScalarField, kl_divergence, normalize
 from sbridge.sde import (
     GridDrift,

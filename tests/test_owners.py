@@ -8,11 +8,14 @@ owner refuses is refused on every path into it.
 import ast
 from functools import cache
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
 import sbridge
+from sbridge import (box_mode, gaussian_density, gaussian_packet, indicator_density,
+                     mixture_density)
 from sbridge.bridge import (
     BridgeProblem,
     bridge_density,
@@ -22,8 +25,6 @@ from sbridge.bridge import (
     wiener_marginal_flow,
 )
 from sbridge.errors import GridMismatch, InvalidInterval, NonPositiveMass, TimeNotStored
-from sbridge.families import (box_mode, box_mode_energy, gaussian_density, gaussian_packet,
-                              indicator_density, mixture_density)
 from sbridge.grid import ComplexField, DensityField, Grid1D, ScalarField
 from sbridge.kernels import heat_kernel, log_heat_propagate
 from sbridge.quantum import (QuantumModel, WavefunctionPath, collapse, evolve, hjb_residual,
@@ -179,6 +180,11 @@ def _table():
                  id="bridge_drift_fields-str-t"),
     pytest.param(lambda: bridge_drift_fields(_solution(), [True]), TimeNotStored,
                  id="bridge_drift_fields-bool-t"),
+    # times is a 1-D sequence: a bare time or a nested list is no such sequence
+    pytest.param(lambda: bridge_drift_fields(_solution(), 0.5), InvalidInterval,
+                 id="bridge_drift_fields-scalar-times"),
+    pytest.param(lambda: bridge_drift_fields(_solution(), [[0.5]]), InvalidInterval,
+                 id="bridge_drift_fields-nested-times"),
     pytest.param(lambda: path_integral(_ensemble(), ZERO, "middle"), ValueError,
                  id="path_integral-unknown-endpoint"),
     # a tolerance no residual can fall below, or that accepts any mass
@@ -192,10 +198,6 @@ def _table():
                  id="DensityField-nan-mass_tol"),
     pytest.param(lambda: DensityField(GRID, RHO.values, mass_tol=-1.0), ValueError,
                  id="DensityField-negative-mass_tol"),
-    pytest.param(lambda: box_mode_energy(GRID, 1, -1.0, 1.0), ValueError,
-                 id="box_mode_energy-negative-hbar"),
-    pytest.param(lambda: box_mode_energy(GRID, 1, 1.0, 0.0), ValueError,
-                 id="box_mode_energy-zero-m"),
 ])
 def test_sigma2_and_interval_checks_reach_every_caller(call, error):
     with pytest.raises(error):
@@ -218,7 +220,6 @@ def _count_calls():
         "grid": lambda n: Grid1D(0.0, 1.0, n),
         "evolve": lambda n: evolve(packet, free, 0.0, 0.1, n),
         "box_mode": lambda n: box_mode(GRID, n),
-        "box_mode_energy": lambda n: box_mode_energy(GRID, n, 1.0, 1.0),
         "sample_forward": lambda n: sample_forward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_backward": lambda n: sample_backward(ZERO, RHO, 1.0, five, n, seed=1),
         "sample_forward seed": lambda s: sample_forward(ZERO, RHO, 1.0, five, 4, seed=s),
@@ -230,7 +231,7 @@ def _count_calls():
 @pytest.mark.parametrize("owner, n", [
     ("grid", 3.5), ("grid", 4.0), ("grid", True), ("grid", 2),
     ("evolve", 2.5), ("evolve", 0), ("evolve", True),
-    ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True), ("box_mode_energy", 0),
+    ("box_mode", 1.5), ("box_mode", 0), ("box_mode", True),
     ("sample_forward", 2.5), ("sample_forward", True), ("sample_forward", None),
     ("sample_forward", 0), ("sample_backward", 2.5), ("sample_backward", np.float64(3.0)),
     ("sample_backward", 0.5),
@@ -244,8 +245,8 @@ def test_counts_are_refused_at_entry(owner, n):
         _count_calls()[owner](n)
 
 
-@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "box_mode_energy",
-                                   "sample_forward", "sample_forward seed"])
+@pytest.mark.parametrize("owner", ["grid", "evolve", "box_mode", "sample_forward",
+                                   "sample_forward seed"])
 def test_numpy_integer_counts_are_counts(owner):
     _count_calls()[owner](np.int64(4))
 
@@ -346,6 +347,14 @@ def test_each_condition_raises_one_class(call, error):
                  id="collapse-no-regions"),
     pytest.param(lambda: collapse(gaussian_packet(GRID), [(0.0, 1.0), (2.0,)]), ValueError,
                  r"pairs, got \[\(0\.0, 1\.0\), \(2\.0,\)\]", id="collapse-short-pair"),
+    # a mixture component is a (weight, descriptor) pair, named as given when refused
+    pytest.param(lambda: mixture_density(GRID, [(1.0, {"kind": "gaussian", "mean": 0.0})]),
+                 ValueError, r"got \(1\.0, \{'kind': 'gaussian', 'mean': 0\.0\}\)",
+                 id="mixture_density-missing-var"),
+    pytest.param(lambda: mixture_density(GRID, [(1.0, 3.0)]), ValueError,
+                 r"component is .*, got \(1\.0, 3\.0\)", id="mixture_density-float-descriptor"),
+    pytest.param(lambda: mixture_density(GRID, [(1.0,)]), ValueError,
+                 r"component is .*, got \(1\.0,\)", id="mixture_density-no-descriptor"),
 ])
 def test_refusal_names_the_input(call, error, message):
     with pytest.raises(error, match=message):
@@ -423,6 +432,13 @@ def test_private_names_are_imported_only_from_grid():
              for path in sorted(SRC.glob("*.py")) for node in _imports(path)
              for alias in node.names if node.level == 1 and alias.name.startswith("_")}
     assert found and {module for _, module, _ in found} == {"grid"}
+
+
+def test_no_two_public_names_are_one_object():
+    # an alias is a second name to learn for one object
+    objects = [getattr(sbridge, name) for name in dir(sbridge) if not name.startswith("_")]
+    objects = [obj for obj in objects if not isinstance(obj, ModuleType)]
+    assert len({id(obj) for obj in objects}) == len(objects)
 
 
 def test_the_benchmark_calls_only_exported_names():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from sbridge import box_mode, gaussian_density, gaussian_packet
 from sbridge.errors import (
     BoundaryMassWarning,
     InvalidInterval,
@@ -14,12 +15,6 @@ from sbridge.errors import (
     SupportViolation,
     TerminalMismatch,
     ZeroProbabilityRegion,
-)
-from sbridge.families import (
-    box_mode,
-    box_mode_energy,
-    gaussian_packet,
-    gaussian_density,
 )
 from sbridge.grid import (
     ComplexField,
@@ -47,7 +42,7 @@ from sbridge.quantum import (
     quantum_bridge,
 )
 
-from oracles import cayley_step
+from oracles import box_mode_energy, cayley_step
 
 
 @pytest.fixture(scope="module")

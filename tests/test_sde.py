@@ -7,13 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from sbridge import sde
+from sbridge import gaussian_density, gaussian_packet, sde
 from sbridge.errors import (
     DriftBlowup,
     ExcessiveClamping,
     TimeNotStored,
 )
-from sbridge.families import gaussian_density, gaussian_packet
 from sbridge.grid import Grid1D, ScalarField, integrate, l1_distance
 from sbridge.quantum import QuantumModel, drifts, evolve
 from sbridge.sde import (
