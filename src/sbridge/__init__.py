@@ -12,6 +12,7 @@ from .bridge import (
     bridge_density,
     bridge_drift_fields,
     floor_density,
+    heat_kernel,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,
@@ -30,7 +31,6 @@ from .grid import (
     mixture_density,
     normalize,
 )
-from .kernels import heat_kernel
 from .quantum import (
     DriftDecomposition,
     QuantumModel,

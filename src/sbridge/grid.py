@@ -135,6 +135,12 @@ def _real(value) -> float:
     return float(value) if isinstance(value, numbers.Real) and type(value) is not bool else np.nan
 
 
+def _real_array(values) -> np.ndarray:
+    """The array form of _real: integer and float dtypes as floats, anything else all NaN."""
+    raw = np.asarray(values)
+    return raw.astype(float, copy=False) if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
+
+
 def require_finite_positive(value, what: str) -> None:
     """Raise ValueError unless value is a finite real > 0; what names it in the message."""
     if not 0 < _real(value) < np.inf:
@@ -150,7 +156,7 @@ def require_count(n, minimum: int, what: str) -> None:
 def require_time_grid(times, equal_steps: bool = False) -> np.ndarray:
     """times as a float array: 1-D, finite, strictly increasing and at least two long.
 
-    Entries are read as _real reads a scalar: a bool, a string or None is NaN.
+    Entries are read by _real_array: a bool, a string or None is NaN.
     With equal_steps, time k must also lie within _time_tol of
     t0 + k (t1 - t0) / n. Anything else raises InvalidInterval, a ValueError.
     This is the one test of a time grid: the stored times of ensembles, drift
@@ -158,8 +164,7 @@ def require_time_grid(times, equal_steps: bool = False) -> np.ndarray:
     quantum_bridge evolves back on, and the interval [s, t] of a transition
     kernel, passed as two times.
     """
-    raw = np.asarray(times)
-    times = raw.astype(float, copy=False) if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
+    times = _real_array(times)
     if (times.ndim != 1 or times.shape[0] < 2 or not np.isfinite(times).all()
             or np.any(np.diff(times) <= 0) or (equal_steps and np.max(np.abs(
                 times - np.linspace(times[0], times[-1], times.shape[0]))) > _time_tol(times))):

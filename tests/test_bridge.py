@@ -12,9 +12,11 @@ from sbridge import gaussian_density, indicator_density, mixture_density
 from sbridge.bridge import (
     BridgeProblem,
     BridgeSolution,
+    TransitionKernel,
     bridge_density,
     bridge_drift_fields,
     floor_density,
+    heat_kernel,
     solve_schrodinger_system,
     time_reverse,
     wiener_backward_drift_fields,
@@ -24,7 +26,6 @@ import sbridge.bridge
 from sbridge.errors import NoConvergence, TimeNotStored, TruncationWarning
 from sbridge.grid import (Grid1D, ScalarField, _log_gradient_values, integrate, kl_divergence,
                           normalize)
-from sbridge.kernels import TransitionKernel, heat_kernel
 from sbridge.sde import GridDrift, path_entropy_forward, sample_forward
 
 from oracles import (gaussian_bridge_marginal, heat_matrix, log_apply, log_heat_matrix,

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given
 from scipy.special import erf
 
+from sbridge.bridge import (_MAX_VARIANCE, TRUNCATION_BUDGET, TransitionKernel,
+                            _log_gaussian_profile, heat_kernel, log_heat_propagate)
 from sbridge.errors import InvalidInterval, TruncationWarning
 from sbridge.grid import Grid1D, ScalarField, integrate, normalize
-from sbridge.kernels import _MAX_VARIANCE, TransitionKernel, heat_kernel, log_heat_propagate
 
 from oracles import heat_matrix
 
@@ -100,6 +101,8 @@ def test_truncation_warning_on_narrow_domain():
 @pytest.mark.parametrize("domain, t, sigma2, message", [
     pytest.param(Grid1D(-2.0, 2.0, 81), 1.0, 1.0, "narrower than 12 kernel widths", id="narrow"),
     pytest.param(Grid1D(-8.0, 8.0, 401), 0.01, 0.05, "under-resolved", id="under-resolved"),
+    # row sums that overflow to inf warn so, and raise no RuntimeWarning on the way
+    pytest.param(Grid1D(-1e300, 1e300, 5), 1.0, 5e-324, "up to inf", id="overflowing-row-sums"),
 ])
 def test_a_kernel_built_directly_is_checked_and_warns_at_its_caller(domain, t, sigma2, message):
     # heat_kernel names the constructor, so no kernel skips the truncation check
@@ -258,6 +261,35 @@ def test_interior_rows_lose_no_mass(case):
     assume(interior.any())
     sums = np.exp(log_heat_propagate(grid, np.zeros(grid.n_points), v))[interior]
     assert sums.min() >= 1.0 - 1e-8
+
+
+#: relative gap allowed between the profile sum and the largest interior row sum.
+#: The row misses tails beyond 6 sigma and half of its two end samples, at 6
+#: sigma or more: 1.52e-8 at n = 3 with h = 6 sigma, the example below
+ALIASING_GAP = 2e-8
+
+
+@example((Grid1D(-1.0, 1.0, 3), (1.0 / 6.0) ** 2 * (1.0 - 1e-12)))
+@given(interior_row_cases())
+def test_aliasing_check_reads_the_largest_interior_row_sum(case):
+    # a kernel reads its largest interior row sum as its profile's lattice sum
+    # h sum_d p(d): a row with a 6-sigma margin sums all of these samples but
+    # tails of about 2 Phi(-6), and aliasing only adds mass
+    grid, v = case
+    margin = 6.0 * np.sqrt(v)
+    interior = (grid.points >= grid.x_min + margin) & (grid.points <= grid.x_max - margin)
+    assume(interior.any())
+    largest = heat_matrix(grid, v).sum(axis=1)[interior].max()
+    profile = grid.h * np.exp(_log_gaussian_profile(grid, v)).sum() / np.sqrt(2.0 * np.pi * v)
+    # at least every interior row sum, up to the rounding of two summation orders
+    assert largest * (1.0 - 1e-12) <= profile <= largest * (1.0 + ALIASING_GAP)
+    aliased = largest - (1.0 + TRUNCATION_BUDGET)
+    assume(abs(aliased) > ALIASING_GAP * largest)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        TransitionKernel(grid, 0.0, 1.0, v)
+    assert [w.category for w in caught] == [TruncationWarning] * bool(aliased > 0)
+    assert all("under-resolved" in str(w.message) for w in caught)
 
 
 def test_log_heat_propagate_underflowing_rows_are_exact():

@@ -20,13 +20,14 @@ from sbridge.bridge import (
     BridgeProblem,
     bridge_density,
     bridge_drift_fields,
+    heat_kernel,
+    log_heat_propagate,
     solve_schrodinger_system,
     wiener_backward_drift_fields,
     wiener_marginal_flow,
 )
 from sbridge.errors import GridMismatch, InvalidInterval, NonPositiveMass, TimeNotStored
 from sbridge.grid import ComplexField, DensityField, Grid1D, ScalarField
-from sbridge.kernels import heat_kernel, log_heat_propagate
 from sbridge.quantum import (QuantumModel, WavefunctionPath, collapse, evolve, hjb_residual,
                              normalize_wavefunction, quantum_bridge)
 from sbridge.sde import (GridDrift, PathEnsemble, duality_check, empirical_density,
@@ -62,8 +63,8 @@ OWNERS = [
     ("** 2 @ grid.weights", "quantum.py", True),
     # gradient stencil: grid._gradient_values
     ("np.gradient(", "grid.py", True),
-    # the Wiener span: bridge._wiener_span (kernels.py defines and calls the engine too)
-    ("log_heat_propagate(", "bridge.py", False),
+    # the Wiener span: bridge._wiener_span, the one call site of the propagation engine
+    ("= log_heat_propagate(", "bridge.py", True),
     # the Cayley factor: quantum._cayley
     ("np.linalg.inv(segments)", "quantum.py", True),
     # a divergence that overflows: grid.kl_divergence, for the Girsanov split too
@@ -78,6 +79,8 @@ OWNERS = [
     ("hbar / ", "quantum.py", True),
     # a scalar argument is a real number other than a bool: grid._real
     ("isinstance(value, numbers.Real)", "grid.py", True),
+    # an array's entries are integers or floats, anything else NaN: grid._real_array
+    ("dtype.kind in 'iuf'", "grid.py", True),
 ]
 
 
@@ -128,13 +131,18 @@ def _table():
                  ValueError, id="BridgeProblem-None-sigma2"),
     pytest.param(lambda: QuantumModel(None, 1.0, ScalarField(GRID, np.zeros(161)), GRID),
                  ValueError, id="QuantumModel-None-hbar"),
+    pytest.param(lambda: QuantumModel(1.0, 0.0, ScalarField(GRID, np.zeros(161)), GRID),
+                 ValueError, id="QuantumModel-zero-m"),
+    pytest.param(lambda: QuantumModel(1.0, -1.0, ScalarField(GRID, np.zeros(161)), GRID),
+                 ValueError, id="QuantumModel-negative-m"),
+    pytest.param(lambda: QuantumModel(1.0, np.inf, ScalarField(GRID, np.zeros(161)), GRID),
+                 ValueError, id="QuantumModel-inf-m"),
     pytest.param(lambda: gaussian_density(GRID, 0.0, None), ValueError,
                  id="gaussian_density-None-var"),
     pytest.param(lambda: sample_forward(ZERO, RHO, None, np.linspace(0.0, 1.0, 5), 10, seed=1),
                  ValueError, id="sample_forward-None-sigma2"),
     pytest.param(lambda: duality_check(ZERO, ZERO, RHO, None), ValueError,
                  id="duality_check-None-sigma2"),
-    pytest.param(lambda: Grid1D(0.0, None, 5), ValueError, id="Grid1D-None-x_max"),
     pytest.param(lambda: heat_kernel(GRID, None, 1.0, 1.0), ValueError, id="heat_kernel-None-s"),
     pytest.param(lambda: indicator_density(GRID, None, 1.0), ValueError,
                  id="indicator_density-None-a"),
@@ -159,6 +167,15 @@ def _table():
     pytest.param(lambda: empirical_density(_ensemble(), None, GRID), TimeNotStored,
                  id="empirical_density-None-t"),
     pytest.param(lambda: _table()(GRID.points, None), TimeNotStored, id="GridDrift-None-t"),
+    # the propagation engine reads its variances and log values by grid._real_array
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(161), True), ValueError,
+                 id="log_heat_propagate-bool-variance"),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(161), "1"), ValueError,
+                 id="log_heat_propagate-str-variance"),
+    pytest.param(lambda: log_heat_propagate(GRID, np.zeros(161), None), ValueError,
+                 id="log_heat_propagate-None-variance"),
+    pytest.param(lambda: log_heat_propagate(GRID, ["0"] * 161, 1.0), ValueError,
+                 id="log_heat_propagate-str-log_f"),
     # the entries of a time array are read as grid._real reads a scalar
     pytest.param(lambda: GridDrift(["0", "1"], [ScalarField(GRID, np.zeros(161))] * 2),
                  InvalidInterval, id="GridDrift-str-times"),
@@ -295,8 +312,6 @@ def _path_under(model):
                  id="ScalarField-wrong-shape"),
     pytest.param(lambda: ScalarField(GRID, np.full(161, np.inf)), ValueError,
                  id="ScalarField-non-finite"),
-    pytest.param(lambda: log_heat_propagate(GRID, np.zeros((2, 161)), 1.0), ValueError,
-                 id="log_heat_propagate-wrong-shape"),
     pytest.param(lambda: indicator_density(GRID, 1.0, 1.0), ValueError,
                  id="indicator_density-empty-interval"),
     pytest.param(lambda: collapse(gaussian_packet(GRID), (1.0, -1.0)), ValueError,
@@ -380,6 +395,8 @@ SCALAR_READERS = {
     "gaussian_density-var": (lambda v: gaussian_density(GRID, 0.0, v), ValueError),
     "QuantumModel-hbar": (lambda v: QuantumModel(v, 1.0, ScalarField(GRID, np.zeros(161)), GRID),
                           ValueError),
+    "QuantumModel-m": (lambda v: QuantumModel(1.0, v, ScalarField(GRID, np.zeros(161)), GRID),
+                       ValueError),
     "sample_forward-sigma2": (lambda v: sample_forward(ZERO, RHO, v, [0.0, 1.0], 4, seed=1),
                               ValueError),
     "density_at-t": (lambda v: _unit_path().density_at(v), TimeNotStored),
