@@ -8,7 +8,9 @@ kernel makes forward and backward propagation the same map. The
 convolution is direct, not FFT-based: FFT error is absolute, about 1e-16
 times the largest output, while the solvers need the tails to keep their
 relative accuracy (bridge marginals are floored at 1e-30 of their peak, and
-the potentials there are ratios of such tails).
+the potentials there are ratios of such tails). Both of its factors are lifted
+by exact powers of two: unlifted, a narrow kernel's tail weights and many of
+their products are subnormal, and subnormal arithmetic is several times slower.
 
 The solver fits the coupled harmonic/co-harmonic pair to prescribed
 marginal boundary conditions by alternating rescaling against the marginals
@@ -49,9 +51,13 @@ TRUNCATION_BUDGET = 1e-4
 
 #: linear row sums below this are recomputed in the log domain. With the
 #: shifted vector and the profile both peaking at 1, each of the n terms of a
-#: row carries an absolute error of at most one subnormal spacing (tiny * eps)
-#: from underflow, so rows at or above tiny / eps are exact to n * eps**2.
+#: row loses at most one subnormal spacing (tiny * eps) of the lifted sum to
+#: underflow, 2^-(lift + _PROFILE_LIFT) of that unlifted (2^-1013 at n = 401),
+#: so rows at or above tiny / eps are exact to n * eps**2 with that margin.
 _LINEAR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+#: power of two that lifts every kernel weight, the subnormal ones (>= 2^-1074) too, to a normal
+_PROFILE_LIFT = 64
 
 #: largest variance whose Gaussian normaliser 2 pi variance is finite (about 2.86e307)
 _MAX_VARIANCE = np.finfo(float).max / (2.0 * np.pi)
@@ -99,7 +105,7 @@ class TransitionKernel:
                           f"({margin:.3g} each side); all rows are truncated",
                           TruncationWarning, stacklevel=3)
         elif top > 1.0 + TRUNCATION_BUDGET:
-            warnings.warn(f"interior kernel row sums up to {top:.6f}; the kernel width "
+            warnings.warn(f"interior kernel row sums up to {top:.6g}; the kernel width "
                           f"{width:.3g} is under-resolved by the grid spacing {grid.h:.3g}, "
                           f"so the rows alias mass beyond budget {TRUNCATION_BUDGET}",
                           TruncationWarning, stacklevel=3)
@@ -130,9 +136,11 @@ def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     each, shape (K, n)). The rows share log w, the shift and
     exp(log_f + log w - max); each row is one direct convolution of that
     vector with its kernel's 2n - 1 samples (the kernel is Toeplitz on a
-    uniform grid: O(n^2) work, no n x n array), and its entries whose linear sum
-    underflows below _LINEAR_FLOOR are recomputed by a max-shifted log-sum-exp
-    against the analytic log profile. A row equals the call with its variance
+    uniform grid: O(n^2) work, no n x n array), both lifted by powers of two
+    and the sums divided back, so a row whose products stay normal unlifted
+    is the unlifted sum bit for bit. Its entries whose linear sum falls below
+    _LINEAR_FLOOR are recomputed by a max-shifted log-sum-exp against the
+    analytic log profile. A row equals the call with its variance
     alone, bit for bit. Finite input gives finite output, all -inf input all
     -inf output. Both inputs are read by grid._real_array, so a bool, a string
     or None is NaN and refused; so is a variance above _MAX_VARIANCE, where
@@ -141,7 +149,7 @@ def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     variances = _real_array(variance)
     for v in variances.flat:
         _require_variance(v)
-    n = grid.n_points
+    n = int(grid.n_points)
     log_f = _real_array(log_f)
     if log_f.shape != (n,):
         raise ValueError(f"expected {n} log values, got shape {log_f.shape}")
@@ -152,11 +160,14 @@ def log_heat_propagate(grid: Grid1D, log_f, variance) -> np.ndarray:
     out = np.full(variances.shape + (n,), -np.inf)
     if shift == -np.inf:
         return out
-    shifted = np.exp(a - shift)
+    # a row of n products, each at most 2^(lift + _PROFILE_LIFT), stays below 2^1022
+    lift = np.finfo(float).maxexp - 2 - (n - 1).bit_length() - _PROFILE_LIFT
+    shifted = np.ldexp(np.exp(a - shift), lift)
     # one profile at a time: a (K, 2n - 1) stack of them would outgrow the result
     for row, v in zip(out.reshape(-1, n), variances.flat):
         log_profile = _log_gaussian_profile(grid, v)
-        linear = np.convolve(shifted, np.exp(log_profile), mode="valid")
+        linear = np.convolve(shifted, np.ldexp(np.exp(log_profile), _PROFILE_LIFT), mode="valid")
+        np.ldexp(linear, -(lift + _PROFILE_LIFT), out=linear)
         with np.errstate(divide="ignore"):
             np.log(linear, out=row)
         row += shift

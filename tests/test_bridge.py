@@ -371,6 +371,34 @@ def test_safeguard_rescues_the_small_sigma2_solve(monkeypatch):
     assert failed.value.residual > 1.0
 
 
+def test_narrow_wiener_convolutions_have_no_subnormal_operand(monkeypatch):
+    # unlifted, the sigma2 = 0.05 kernel profiles carry subnormal weights, and
+    # subnormal arithmetic is several times slower; lifted, every nonzero operand
+    # is a normal float
+    convolve, smallest = np.convolve, []
+
+    def recording(a, v, mode="full"):
+        smallest.extend(x[x != 0].min(initial=np.inf) for x in (a, v))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", recording)
+    sol = solve_schrodinger_system(fortet_problem(0.05, 401))
+    bridge_drift_fields(sol, np.linspace(0.0, 1.0, 101))
+    # two operands a call: two calls an iteration but the last, one a moving time
+    assert len(smallest) == 2 * (2 * sol.iterations - 1 + 100)
+    assert min(smallest) >= np.finfo(float).tiny
+
+
+def test_a_numpy_integer_grid_solves_as_its_python_int_twin():
+    # the solve and the drift sweep reach the propagator with the grid's own count
+    sols = [solve_schrodinger_system(fortet_problem(0.05, n)) for n in (np.int64(161), 161)]
+    times = np.linspace(0.0, 1.0, 5)
+    assert sols[0].iterations == sols[1].iterations
+    assert np.array_equal(sols[0].log_phi1, sols[1].log_phi1)
+    for a, b in zip(*(bridge_drift_fields(sol, times) for sol in sols)):
+        assert np.array_equal(a.values, b.values)
+
+
 def test_narrow_solve_over_exact_zero_kernel_band():
     # at sigma2 = 0.05 kernel entries vanish exactly beyond |x - y| = 8.6
     grid = Grid1D(-8.0, 8.0, 401)

@@ -103,6 +103,8 @@ def test_truncation_warning_on_narrow_domain():
     pytest.param(Grid1D(-8.0, 8.0, 401), 0.01, 0.05, "under-resolved", id="under-resolved"),
     # row sums that overflow to inf warn so, and raise no RuntimeWarning on the way
     pytest.param(Grid1D(-1e300, 1e300, 5), 1.0, 5e-324, "up to inf", id="overflowing-row-sums"),
+    # a huge row sum prints in six significant digits, not in 160 of fixed point
+    pytest.param(Grid1D(-8.0, 8.0, 401), 1.0, 5e-324, r"up to 7\.3467e\+159; ", id="huge-row-sums"),
 ])
 def test_a_kernel_built_directly_is_checked_and_warns_at_its_caller(domain, t, sigma2, message):
     # heat_kernel names the constructor, so no kernel skips the truncation check
@@ -304,6 +306,21 @@ def test_log_heat_propagate_underflowing_rows_are_exact():
     assert np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
+def test_rows_whose_products_stay_normal_are_the_unlifted_sum_bit_for_bit():
+    # the factors are lifted and the sums divided back by powers of two, which
+    # is exact where no product of the unlifted factors underflows
+    grid = Grid1D(-8.0, 8.0, 161)
+    log_f = np.random.default_rng(7).uniform(-10.0, 10.0, grid.n_points)
+    a = log_f + np.log(grid.weights)
+    top = a.max()
+    for v in (0.5, 1.0, 4.0):
+        profile = np.exp(_log_gaussian_profile(grid, v))
+        assert np.outer(np.exp(a - top), profile).min() >= np.finfo(float).tiny
+        ref = (np.log(np.convolve(np.exp(a - top), profile, mode="valid")) + top
+               - 0.5 * np.log(2.0 * np.pi * v))
+        assert np.array_equal(log_heat_propagate(grid, log_f, v), ref)
+
+
 def test_batched_rows_equal_single_variance_calls():
     # the first variance takes the exact log-sum-exp fallback rows (see the
     # test above); the others are the spans of a sigma2 = 0.01 bridge
@@ -314,6 +331,9 @@ def test_batched_rows_equal_single_variance_calls():
     assert rows.shape == (variances.size, grid.n_points) and rows[0].min() < -690.0
     for row, v in zip(rows, variances):
         assert np.array_equal(row, log_heat_propagate(grid, log_f, v))
+    # Grid1D takes a numpy integer count, and the lift reads it as an int
+    numpy_count = Grid1D(-8.0, 8.0, np.int64(grid.n_points))
+    assert np.array_equal(rows, log_heat_propagate(numpy_count, log_f, variances))
     assert log_heat_propagate(grid, log_f, variances[:0]).shape == (0, grid.n_points)
     assert np.all(log_heat_propagate(grid, np.full(grid.n_points, -np.inf), variances) == -np.inf)
     with pytest.raises(ValueError):
