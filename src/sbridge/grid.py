@@ -1,4 +1,4 @@
-"""Uniform 1-D grids, real and complex fields, trapezoid quadrature, finite differences.
+"""Uniform 1-D grids, real and complex fields, trapezoid quadrature, gradient stencils.
 
 Every other module builds on the types here. Fields are immutable after
 construction and carry their grid with them; mixing grids raises GridMismatch
@@ -204,57 +204,6 @@ def integrate(f) -> float:
     return float(np.dot(f.grid.weights, f.values))
 
 
-class _Cells:
-    """Cell index j and offset x - x_j of a row of positions, in reused buffers.
-
-    find(x) is the cell step: it clips the positions to the walls, counts in
-    n_out those beyond them, and sets j and the offset; NaN goes to cell 0
-    and stays NaN in the offset. lerp is the lerp step: it reads one table
-    at those cells, with the slopes of _slopes. The two steps give
-    np.interp(x, grid.points, values) by np.interp's arithmetic, bit for bit
-    except within rounding of a node; beyond a wall the wall value; NaN
-    gives NaN. A caller reading several tables at the same positions runs
-    the cell step once. The buffers serve every row of one shape, so a loop
-    over the rows of an ensemble allocates no n-sized array per row; without
-    that, glibc returns freed rows to the system and page-faults them back.
-    """
-
-    def __init__(self, grid: Grid1D, shape):
-        self.grid = grid
-        self.j = np.empty(shape, dtype=np.intp)
-        self.offset = np.empty(shape)
-        self._spare = np.empty(shape)
-        self.n_out = 0
-
-    def find(self, x) -> "_Cells":
-        g = self.grid
-        x = np.asarray(x, dtype=float)
-        self.n_out = int(np.count_nonzero((x < g.x_min) | (x > g.x_max)))
-        np.clip(x, g.x_min, g.x_max, out=self.offset)
-        cell = np.subtract(self.offset, g.x_min, out=self._spare)
-        cell /= g.h
-        # fmax sends NaN to cell 0 (a bare cast would give INT_MIN)
-        np.copyto(self.j, np.fmax(cell, 0.0, out=cell), casting="unsafe")
-        # j lies in [0, n - 1]; mode="clip" only spares take's copy of out
-        self.offset -= g.points.take(self.j, out=self._spare, mode="clip")
-        return self
-
-    def lerp(self, values: np.ndarray, slope: np.ndarray, out=None) -> np.ndarray:
-        """slope_j * (x - x_j) + values_j, into out or a new array."""
-        out = slope.take(self.j, out=out, mode="clip")
-        out *= self.offset
-        out += values.take(self.j, out=self._spare, mode="clip")
-        return out
-
-
-def _slopes(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """np.interp's slope of each cell; 0 in the last, where x_max lands at offset 0."""
-    slope = np.zeros(grid.n_points)
-    x = grid.points
-    np.divide(values[1:] - values[:-1], x[1:] - x[:-1], out=slope[:-1])
-    return slope
-
-
 def _gradient_values(values: np.ndarray, h: float) -> np.ndarray:
     # np.gradient on the last axis: central differences inside, one-sided at the ends
     return np.gradient(values, h, axis=-1, edge_order=2)
@@ -265,20 +214,6 @@ def _log_gradient_values(values: np.ndarray, h: float) -> np.ndarray:
     # give no -inf; exact for Gaussian-shaped fields (quadratic log), which the
     # analytic oracles rely on
     return _gradient_values(np.log(np.maximum(values, np.finfo(float).tiny)), h)
-
-
-def _laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
-    # 3-point stencil inside, one-sided second-order ends (the inner value on 3 points)
-    n = values.shape[0]
-    out = np.empty_like(values)
-    out[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h**2
-    if n >= 4:
-        out[0] = (2 * values[0] - 5 * values[1] + 4 * values[2] - values[3]) / h**2
-        out[-1] = (2 * values[-1] - 5 * values[-2] + 4 * values[-3] - values[-4]) / h**2
-    else:
-        out[0] = out[1]
-        out[-1] = out[1]
-    return out
 
 
 def normalize(f: ScalarField) -> DensityField:

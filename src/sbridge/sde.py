@@ -11,6 +11,7 @@ path entropy of one diffusion law with respect to another: a marginal
 divergence (grid.kl_divergence) plus a quadratic drift-mismatch integral,
 taken at either end of the time interval (forward drifts + initial
 marginals, or backward drifts + terminal marginals); both totals must agree.
+Tables on a grid are read at path positions by the cell and lerp steps of _Cells.
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ from .grid import (
     DensityField,
     Grid1D,
     ScalarField,
-    _Cells,
     _gradient_values,
-    _laplacian_values,
     _log_gradient_values,
     _real,
-    _slopes,
     kl_divergence,
     normalize,
     require_count,
@@ -79,16 +77,67 @@ class PathEnsemble:
         return self.positions.shape[0]
 
 
+class _Cells:
+    """Cell index j and offset x - x_j of a row of positions, in reused buffers.
+
+    find(x) is the cell step: it clips the positions to the walls, counts in
+    n_out those beyond them, and sets j and the offset; NaN goes to cell 0
+    and stays NaN in the offset. lerp is the lerp step: it reads one table
+    at those cells, with the slopes of _slopes. The two steps give
+    np.interp(x, grid.points, values) by np.interp's arithmetic, bit for bit
+    except within rounding of a node; beyond a wall the wall value; NaN
+    gives NaN. A caller reading several tables at the same positions runs
+    the cell step once. The buffers serve every row of one shape, so a loop
+    over the rows of an ensemble allocates no n-sized array per row; without
+    that, glibc returns freed rows to the system and page-faults them back.
+    """
+
+    def __init__(self, grid: Grid1D, shape):
+        self.grid = grid
+        self.j = np.empty(shape, dtype=np.intp)
+        self.offset = np.empty(shape)
+        self._spare = np.empty(shape)
+        self.n_out = 0
+
+    def find(self, x) -> "_Cells":
+        g = self.grid
+        x = np.asarray(x, dtype=float)
+        self.n_out = int(np.count_nonzero((x < g.x_min) | (x > g.x_max)))
+        np.clip(x, g.x_min, g.x_max, out=self.offset)
+        cell = np.subtract(self.offset, g.x_min, out=self._spare)
+        cell /= g.h
+        # fmax sends NaN to cell 0 (a bare cast would give INT_MIN)
+        np.copyto(self.j, np.fmax(cell, 0.0, out=cell), casting="unsafe")
+        # j lies in [0, n - 1]; mode="clip" only spares take's copy of out
+        self.offset -= g.points.take(self.j, out=self._spare, mode="clip")
+        return self
+
+    def lerp(self, values: np.ndarray, slope: np.ndarray, out=None) -> np.ndarray:
+        """slope_j * (x - x_j) + values_j, into out or a new array."""
+        out = slope.take(self.j, out=out, mode="clip")
+        out *= self.offset
+        out += values.take(self.j, out=self._spare, mode="clip")
+        return out
+
+
+def _slopes(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """np.interp's slope of each cell; 0 in the last, where x_max lands at offset 0."""
+    slope = np.zeros(grid.n_points)
+    x = grid.points
+    np.divide(values[1:] - values[:-1], x[1:] - x[:-1], out=slope[:-1])
+    return slope
+
+
 class GridDrift:
     """Drift field sampled on a grid at strictly increasing stored times.
 
     table is the tuple of the fields' read-only values, one row per stored
     time, viewed without a copy. Lookup is nearest-neighbor in time (the SDE
     step must line up with the storage grid) and linear in space by
-    uniform-grid index arithmetic (grid._Cells). Positions outside
-    the grid are clamped and counted; runs exceeding the clamp budget fail
-    validation. Callers reading several tables on one grid at the same
-    positions find the cells once (grid._Cells) and read each with _at_cell.
+    uniform-grid index arithmetic (the cell and lerp steps of _Cells).
+    Positions outside the grid are clamped and counted; runs exceeding the
+    clamp budget fail validation. Callers reading several tables on one grid
+    at the same positions find the cells once and read each with _at_cell.
     """
 
     def __init__(self, times, fields):
@@ -140,7 +189,7 @@ def _trapezoid_cdf(rho) -> np.ndarray:
     """Normalized trapezoid CDF of rho at its grid points.
 
     np.interp(u, cdf, grid.points) maps uniforms to positions, piecewise-linear
-    within cells; the abscissa is the CDF, not a uniform grid, so grid._Cells
+    within cells; the abscissa is the CDF, not a uniform grid, so _Cells
     does not apply.
     """
     grid = rho.grid
@@ -360,6 +409,20 @@ def path_integral(ens: PathEnsemble, g, endpoint: str = "left") -> np.ndarray:
     for k, dt in enumerate(np.diff(ens.times)):
         acc += np.multiply(g(rows[k + shift], ens.times[k + shift]), dt, out=term)
     return acc
+
+
+def _laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
+    # 3-point stencil inside, one-sided second-order ends (the inner value on 3 points)
+    n = values.shape[0]
+    out = np.empty_like(values)
+    out[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h**2
+    if n >= 4:
+        out[0] = (2 * values[0] - 5 * values[1] + 4 * values[2] - values[3]) / h**2
+        out[-1] = (2 * values[-1] - 5 * values[-2] + 4 * values[-3] - values[-4]) / h**2
+    else:
+        out[0] = out[1]
+        out[-1] = out[1]
+    return out
 
 
 def generator_check(f: ScalarField, ens: PathEnsemble, beta, sigma2) -> GeneratorCheckResult:

@@ -1,5 +1,3 @@
-import warnings
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -13,14 +11,12 @@ from sbridge.grid import (
     Grid1D,
     ScalarField,
     _gradient_values,
-    _laplacian_values,
     _log_gradient_values,
     integrate,
     l1_distance,
     normalize,
     require_same_grid,
 )
-from sbridge.sde import GridDrift
 
 
 def test_grid_basic_invariants():
@@ -98,26 +94,6 @@ def test_gradient_second_order_richardson():
     assert 3.5 < ratio < 4.5
 
 
-def test_laplacian_exact_on_quadratics_and_constants():
-    g = Grid1D(-1.0, 1.0, 41)
-    lap = _laplacian_values(g.points**2, g.h)
-    assert np.max(np.abs(lap - 2.0)) < 1e-9
-    assert np.all(_laplacian_values(np.full(41, 3.0), g.h) == 0)
-    # on 3 points the ends take the one inner value, still exact on a quadratic
-    g3 = Grid1D(-1.0, 1.0, 3)
-    assert np.max(np.abs(_laplacian_values(g3.points**2, g3.h) - 2.0)) < 1e-9
-
-
-def test_laplacian_second_order_on_sin():
-    def err(n):
-        g = Grid1D(0.0, np.pi, n)
-        lap = _laplacian_values(np.sin(g.points), g.h)
-        return np.max(np.abs(lap[1:-1] + np.sin(g.points[1:-1])))
-
-    ratio = err(101) / err(201)
-    assert 3.5 < ratio < 4.5
-
-
 def test_normalize_constant():
     g = Grid1D(0.0, 1.0, 21)
     d = normalize(ScalarField(g, np.full(21, 2.0)))
@@ -159,20 +135,6 @@ def test_normalized_mass_property(seed):
     assert abs(integrate(normalize(f)) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-def test_gradient_laplacian_linearity(seed):
-    rng = np.random.default_rng(seed)
-    g = Grid1D(-2.0, 2.0, 101)
-    f = rng.standard_normal(101)
-    h = rng.standard_normal(101)
-    a, b = 1.7, -0.3
-    combo = a * f + b * h
-    for op in (_gradient_values, _laplacian_values):
-        lhs = op(combo, g.h)
-        rhs = a * op(f, g.h) + b * op(h, g.h)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1, np.max(np.abs(rhs)))
-
-
 def test_gradient_of_even_field_is_odd():
     g = Grid1D(-4.0, 4.0, 161)
     f = np.cosh(np.cos(g.points)) * np.exp(-g.points**2)
@@ -211,52 +173,3 @@ def test_density_field_checks():
     with pytest.raises(NonPositiveMass):
         DensityField(g, np.full(11, 3.0))  # mass 3, not 1
     DensityField(g, np.full(11, 3.0), mass_tol=None)  # diagnostic escape hatch
-
-
-@st.composite
-def interp_cases(draw):
-    n = draw(st.integers(3, 2001))
-    x_min = draw(st.floats(-100.0, 100.0))
-    width = draw(st.floats(1e-3, 200.0))
-    grid = Grid1D(x_min, x_min + width, n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = draw(st.floats(1e-6, 1e6)) * rng.standard_normal(n)
-    beyond = width * 10.0 ** rng.uniform(-12.0, 2.0, 20)
-    x = np.concatenate([
-        grid.x_min + width * rng.random(200),  # inside, in random order
-        grid.x_min - beyond,
-        grid.x_max + beyond,
-        grid.points[rng.integers(0, n, 50)],  # exactly on nodes
-        [grid.x_min, grid.x_max],
-    ])
-    return grid, values, x
-
-
-def _read_row(grid, values, x):
-    # row 0 of a two-row table: the public reader of a row, its cell step then its lerp step
-    rows = [ScalarField(grid, values), ScalarField(grid, np.zeros(grid.n_points))]
-    return GridDrift([0.0, 1.0], rows)(x, 0.0)
-
-
-@given(interp_cases())
-def test_grid_drift_matches_np_interp(case):
-    grid, values, x = case
-    ref = np.interp(x, grid.points, values)
-    out = _read_row(grid, values, x)
-    assert np.all(np.abs(out - ref) <= 1e-12 * np.max(np.abs(values)))
-    assert out[-1] == values[-1] and out[-2] == values[0]
-
-
-def test_grid_drift_nan_gives_nan_without_warning():
-    g = Grid1D(-1.0, 1.0, 5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = _read_row(g, g.points**2, np.array([np.nan, 0.5, np.nan]))
-    assert np.isnan(out[0]) and np.isnan(out[2])
-    assert out[1] == 0.25
-
-
-def test_grid_drift_scalar_and_integer_input():
-    g = Grid1D(-1.0, 1.0, 5)
-    for x in (0.3, np.float64(-2.0), np.asarray(0.7), 1, np.array([0, 1, -3])):
-        assert np.array_equal(_read_row(g, g.points**2, x), np.interp(x, g.points, g.points**2))

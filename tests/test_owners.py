@@ -81,6 +81,8 @@ OWNERS = [
     ("isinstance(value, numbers.Real)", "grid.py", True),
     # an array's entries are integers or floats, anything else NaN: grid._real_array
     ("dtype.kind in 'iuf'", "grid.py", True),
+    # the cell step of every table read at path positions: sde._Cells.find
+    ("np.fmax(cell, 0.0", "sde.py", True),
 ]
 
 
@@ -449,6 +451,34 @@ def test_private_names_are_imported_only_from_grid():
              for path in sorted(SRC.glob("*.py")) for node in _imports(path)
              for alias in node.names if node.level == 1 and alias.name.startswith("_")}
     assert found and {module for _, module, _ in found} == {"grid"}
+
+
+def test_private_names_of_grid_serve_grid_or_several_modules():
+    # a private helper of grid that grid never reads and one module alone
+    # imports belongs in that module
+    importers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in _imports(path):
+            if node.level == 1 and node.module == "grid":
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        importers.setdefault(alias.name, set()).add(path.name)
+    read = {node.id for node in ast.walk(ast.parse(CODE["grid.py"]))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert importers and not {name for name, users in importers.items()
+                              if name not in read and len(users) < 2}
+
+
+def test_each_test_module_is_named_for_a_module_of_sbridge():
+    # the tests of a module live in test_<module>.py, so a folded module's tests
+    # move to its owner's; only the package-wide checks have modules of their own.
+    # test_entropy.py, for grid.kl_divergence and sde's Girsanov split, still waits
+    # for its move (ROADMAP item 14), and must drop out of `waiting` once it is gone
+    tests = Path(__file__).resolve().parent
+    named = {path.stem.removeprefix("test_") for path in tests.glob("test_*.py")}
+    waiting = {"entropy"}
+    assert waiting <= named
+    assert not named - {path.stem for path in SRC.glob("*.py")} - {"owners", "packaging"} - waiting
 
 
 def test_no_two_public_names_are_one_object():

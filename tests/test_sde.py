@@ -4,8 +4,10 @@ import threading
 import tracemalloc
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from sbridge import gaussian_density, gaussian_packet, sde
 from sbridge.errors import (
@@ -13,12 +15,13 @@ from sbridge.errors import (
     ExcessiveClamping,
     TimeNotStored,
 )
-from sbridge.grid import Grid1D, ScalarField, integrate, l1_distance
+from sbridge.grid import Grid1D, ScalarField, _gradient_values, integrate, l1_distance
 from sbridge.quantum import QuantumModel, drifts, evolve
 from sbridge.sde import (
     BLOCK_SIZE,
     GridDrift,
     PathEnsemble,
+    _laplacian_values,
     duality_check,
     empirical_density,
     generator_check,
@@ -195,6 +198,40 @@ def test_duality_brownian_marginal(grid):
     assert val < 1e-8
 
 
+def test_laplacian_exact_on_quadratics_and_constants():
+    g = Grid1D(-1.0, 1.0, 41)
+    lap = _laplacian_values(g.points**2, g.h)
+    assert np.max(np.abs(lap - 2.0)) < 1e-9
+    assert np.all(_laplacian_values(np.full(41, 3.0), g.h) == 0)
+    # on 3 points the ends take the one inner value, still exact on a quadratic
+    g3 = Grid1D(-1.0, 1.0, 3)
+    assert np.max(np.abs(_laplacian_values(g3.points**2, g3.h) - 2.0)) < 1e-9
+
+
+def test_laplacian_second_order_on_sin():
+    def err(n):
+        g = Grid1D(0.0, np.pi, n)
+        lap = _laplacian_values(np.sin(g.points), g.h)
+        return np.max(np.abs(lap[1:-1] + np.sin(g.points[1:-1])))
+
+    ratio = err(101) / err(201)
+    assert 3.5 < ratio < 4.5
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_gradient_laplacian_linearity(seed):
+    rng = np.random.default_rng(seed)
+    g = Grid1D(-2.0, 2.0, 101)
+    f = rng.standard_normal(101)
+    h = rng.standard_normal(101)
+    a, b = 1.7, -0.3
+    combo = a * f + b * h
+    for op in (_gradient_values, _laplacian_values):
+        lhs = op(combo, g.h)
+        rhs = a * op(f, g.h) + b * op(h, g.h)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1, np.max(np.abs(rhs)))
+
+
 def test_generator_check_martingale(grid):
     f = ScalarField(grid, grid.points)
     times = np.linspace(0.0, 1.0, 201)
@@ -240,6 +277,55 @@ def test_generator_check_reads_a_drift_table_as_a_plain_callable_does(grid, same
             == generator_check(f, ens, lambda x, t: called(x, t), 1.0))
     assert (read.n_eval, read.n_clamped) == (called.n_eval, called.n_clamped)
     assert read.n_eval == 20 * 400 and read.n_clamped > 0
+
+
+@st.composite
+def interp_cases(draw):
+    n = draw(st.integers(3, 2001))
+    x_min = draw(st.floats(-100.0, 100.0))
+    width = draw(st.floats(1e-3, 200.0))
+    grid = Grid1D(x_min, x_min + width, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.floats(1e-6, 1e6)) * rng.standard_normal(n)
+    beyond = width * 10.0 ** rng.uniform(-12.0, 2.0, 20)
+    x = np.concatenate([
+        grid.x_min + width * rng.random(200),  # inside, in random order
+        grid.x_min - beyond,
+        grid.x_max + beyond,
+        grid.points[rng.integers(0, n, 50)],  # exactly on nodes
+        [grid.x_min, grid.x_max],
+    ])
+    return grid, values, x
+
+
+def _read_row(grid, values, x):
+    # row 0 of a two-row table: the public reader of a row, its cell step then its lerp step
+    rows = [ScalarField(grid, values), ScalarField(grid, np.zeros(grid.n_points))]
+    return GridDrift([0.0, 1.0], rows)(x, 0.0)
+
+
+@given(interp_cases())
+def test_grid_drift_matches_np_interp(case):
+    grid, values, x = case
+    ref = np.interp(x, grid.points, values)
+    out = _read_row(grid, values, x)
+    assert np.all(np.abs(out - ref) <= 1e-12 * np.max(np.abs(values)))
+    assert out[-1] == values[-1] and out[-2] == values[0]
+
+
+def test_grid_drift_nan_gives_nan_without_warning():
+    g = Grid1D(-1.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _read_row(g, g.points**2, np.array([np.nan, 0.5, np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == 0.25
+
+
+def test_grid_drift_scalar_and_integer_input():
+    g = Grid1D(-1.0, 1.0, 5)
+    for x in (0.3, np.float64(-2.0), np.asarray(0.7), 1, np.array([0, 1, -3])):
+        assert np.array_equal(_read_row(g, g.points**2, x), np.interp(x, g.points, g.points**2))
 
 
 def test_grid_drift_interpolation_and_clamping(grid):
