@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriftBlowup, ExcessiveClamping, TimeNotStored
+from .errors import DriftBlowup, ExcessiveClamping, NonPositiveMass, TimeNotStored
 from .grid import (
     DensityField,
     Grid1D,
@@ -195,6 +195,8 @@ def _trapezoid_cdf(rho) -> np.ndarray:
     grid = rho.grid
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * grid.h * (rho.values[:-1] + rho.values[1:]))])
+    if not cdf[-1] > 0:
+        raise NonPositiveMass(f"cannot sample from a start density of mass {float(cdf[-1])!r}")
     cdf /= cdf[-1]
     return cdf
 
@@ -323,11 +325,12 @@ def _simulate(drift, rho_start, sigma2, times, n_paths, seed, backward: bool):
 def sample_forward(beta, rho0: DensityField, sigma2, times, n_paths, seed) -> PathEnsemble:
     """Euler-Maruyama: x_{k+1} = x_k + beta(x_k, t_k) dt + sigma sqrt(dt) z_k.
 
-    Initial positions are drawn from rho0 by inverting its trapezoid CDF.
-    seed is an integer >= 0. Paths are drawn in blocks of BLOCK_SIZE, and the
-    random numbers of block b depend only on seed and b: identical arguments
-    give a bit-identical ensemble, and a full block's paths do not change
-    with n_paths.
+    Initial positions are drawn from rho0 by inverting its trapezoid CDF; a
+    rho0 without mass is refused with NonPositiveMass. seed is an integer
+    >= 0. Paths are drawn in blocks of BLOCK_SIZE, and the random numbers of
+    block b depend only on seed and b: identical arguments give a
+    bit-identical ensemble, and a full block's paths do not change with
+    n_paths.
 
     A helper thread draws the increments sigma sqrt(dt) z_k ahead of the
     steps; beta is read only on the calling thread, so a drift need not be

@@ -92,6 +92,11 @@ def cayley_step(psi, hbar, m, potential, h, dt):
     return out
 
 
+def gaussian_kl(var1, var2):
+    """Closed form for centered Gaussians: (v1/v2 + ln(v2/v1) - 1) / 2."""
+    return 0.5 * (var1 / var2 + np.log(var2 / var1) - 1.0)
+
+
 def box_mode_energy(grid, n_mode, hbar, m):
     """Continuum energy hbar^2 k^2 / (2 m), k = n pi / L, of the n-th mode of the box."""
     k = n_mode * np.pi / (grid.x_max - grid.x_min)

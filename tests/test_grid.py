@@ -1,10 +1,12 @@
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 from scipy.special import erf
 
-from sbridge.errors import GridMismatch, NonPositiveMass
+from sbridge import gaussian_density
+from sbridge.errors import GridMismatch, NonPositiveMass, SupportViolation
 from sbridge.grid import (
     ComplexField,
     DensityField,
@@ -13,10 +15,13 @@ from sbridge.grid import (
     _gradient_values,
     _log_gradient_values,
     integrate,
+    kl_divergence,
     l1_distance,
     normalize,
     require_same_grid,
 )
+
+from oracles import gaussian_kl
 
 
 def test_grid_basic_invariants():
@@ -173,3 +178,70 @@ def test_density_field_checks():
     with pytest.raises(NonPositiveMass):
         DensityField(g, np.full(11, 3.0))  # mass 3, not 1
     DensityField(g, np.full(11, 3.0), mass_tol=None)  # diagnostic escape hatch
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return Grid1D(-10.0, 10.0, 801)
+
+
+def test_kl_identical_is_exactly_zero(grid):
+    p = gaussian_density(grid, 0.3, 0.7)
+    assert kl_divergence(p, p) == 0.0
+
+
+def test_kl_two_cell_oracle():
+    # two unit cells with p = (0.5, 0.5), q = (0.25, 0.75):
+    # 0.5 ln 2 + 0.5 ln(2/3), quadrature converges to it as the jump sharpens
+    expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+    g = Grid1D(0.0, 2.0, 2001)
+    left = g.points <= 1.0
+    p = normalize(ScalarField(g, np.where(left, 0.5, 0.5)))
+    q = normalize(ScalarField(g, np.where(left, 0.25, 0.75)))
+    assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-3)
+    assert expected == pytest.approx(0.143841, abs=1e-6)
+
+
+def test_kl_gaussian_closed_form(grid):
+    p = gaussian_density(grid, 0.0, 1.0)
+    q = gaussian_density(grid, 0.0, 2.0)
+    assert kl_divergence(p, q) == pytest.approx(gaussian_kl(1.0, 2.0), abs=1e-6)
+    assert gaussian_kl(1.0, 2.0) == pytest.approx(0.096574, abs=1e-6)
+
+
+def test_kl_support_violation(grid):
+    p = gaussian_density(grid, 0.0, 1.0)
+    chi = (np.abs(grid.points) <= 2.0).astype(float)
+    q = normalize(ScalarField(grid, chi))
+    with pytest.raises(SupportViolation):
+        kl_divergence(p, q)
+
+
+@st.composite
+def tailed_pairs(draw):
+    # q = N(0, 1/2) drops below 1e-30 of its peak at |x| > 8.3 but stays positive
+    grid = Grid1D(-10.0, 10.0, 401)
+    q = gaussian_density(grid, 0.0, 0.5)
+    p = gaussian_density(grid, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 0.25)))
+    far = np.abs(grid.points) >= 8.0
+    shape = draw(hnp.arrays(float, int(far.sum()), elements=st.floats(1e-6, 1.0)))
+    tail = np.zeros(grid.n_points)
+    tail[far] = shape / np.dot(grid.weights[far], shape) * draw(st.floats(0.0, 1e-20))
+    return p, DensityField(grid, p.values + tail), q
+
+
+@given(tailed_pairs())
+def test_kl_ignores_a_negligible_tail_over_tiny_q(case):
+    p, p_tailed, q = case
+    kl = kl_divergence(p_tailed, q)
+    assert np.isfinite(kl) and kl >= 0.0
+    assert abs(kl - kl_divergence(p, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kl_nonnegative_random_pairs(grid, seed):
+    rng = np.random.default_rng(seed)
+    p = normalize(ScalarField(grid, rng.uniform(0.05, 1.0, grid.n_points)))
+    q = normalize(ScalarField(grid, rng.uniform(0.05, 1.0, grid.n_points)))
+    assert kl_divergence(p, q) >= 0.0
+    assert kl_divergence(p, p) == 0.0

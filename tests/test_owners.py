@@ -131,44 +131,10 @@ def _table():
     pytest.param(lambda: heat_kernel(GRID, 0.0, 1.0, None), ValueError, id="heat_kernel-None"),
     pytest.param(lambda: BridgeProblem(RHO, RHO, heat_kernel(GRID, 0.0, 1.0, 1.0), None),
                  ValueError, id="BridgeProblem-None-sigma2"),
-    pytest.param(lambda: QuantumModel(None, 1.0, ScalarField(GRID, np.zeros(161)), GRID),
-                 ValueError, id="QuantumModel-None-hbar"),
-    pytest.param(lambda: QuantumModel(1.0, 0.0, ScalarField(GRID, np.zeros(161)), GRID),
-                 ValueError, id="QuantumModel-zero-m"),
-    pytest.param(lambda: QuantumModel(1.0, -1.0, ScalarField(GRID, np.zeros(161)), GRID),
-                 ValueError, id="QuantumModel-negative-m"),
-    pytest.param(lambda: QuantumModel(1.0, np.inf, ScalarField(GRID, np.zeros(161)), GRID),
-                 ValueError, id="QuantumModel-inf-m"),
-    pytest.param(lambda: gaussian_density(GRID, 0.0, None), ValueError,
-                 id="gaussian_density-None-var"),
-    pytest.param(lambda: sample_forward(ZERO, RHO, None, np.linspace(0.0, 1.0, 5), 10, seed=1),
-                 ValueError, id="sample_forward-None-sigma2"),
     pytest.param(lambda: duality_check(ZERO, ZERO, RHO, None), ValueError,
                  id="duality_check-None-sigma2"),
-    pytest.param(lambda: heat_kernel(GRID, None, 1.0, 1.0), ValueError, id="heat_kernel-None-s"),
-    pytest.param(lambda: indicator_density(GRID, None, 1.0), ValueError,
-                 id="indicator_density-None-a"),
-    pytest.param(lambda: mixture_density(GRID, [(None, {"kind": "gaussian", "mean": 0.0,
-                                                        "var": 1.0})]),
-                 ValueError, id="mixture_density-None-weight"),
-    pytest.param(lambda: gaussian_density(GRID, None, 1.0), ValueError,
-                 id="gaussian_density-None-mean"),
-    pytest.param(lambda: gaussian_packet(GRID, None, 1.0), ValueError,
-                 id="gaussian_packet-None-center"),
-    pytest.param(lambda: evolve(gaussian_packet(GRID), QuantumModel.free(GRID), None, 1.0, 4),
-                 ValueError, id="evolve-None-t_from"),
-    pytest.param(lambda: collapse(gaussian_packet(GRID), (None, 1.0)), ValueError,
-                 id="collapse-None-region-end"),
     pytest.param(lambda: collapse(gaussian_packet(GRID), (np.nan, 1.0)), ValueError,
                  id="collapse-nan-region-end"),
-    # a time matched against stored or covered times is TimeNotStored, None as NaN
-    pytest.param(lambda: bridge_density(solve_schrodinger_system(_problem()), None),
-                 TimeNotStored, id="bridge_density-None-t"),
-    pytest.param(lambda: _path_under(QuantumModel.free(GRID)).density_at(None), TimeNotStored,
-                 id="density_at-None-t"),
-    pytest.param(lambda: empirical_density(_ensemble(), None, GRID), TimeNotStored,
-                 id="empirical_density-None-t"),
-    pytest.param(lambda: _table()(GRID.points, None), TimeNotStored, id="GridDrift-None-t"),
     # the propagation engine reads its variances and log values by grid._real_array
     pytest.param(lambda: log_heat_propagate(GRID, np.zeros(161), True), ValueError,
                  id="log_heat_propagate-bool-variance"),
@@ -471,14 +437,10 @@ def test_private_names_of_grid_serve_grid_or_several_modules():
 
 def test_each_test_module_is_named_for_a_module_of_sbridge():
     # the tests of a module live in test_<module>.py, so a folded module's tests
-    # move to its owner's; only the package-wide checks have modules of their own.
-    # test_entropy.py, for grid.kl_divergence and sde's Girsanov split, still waits
-    # for its move (ROADMAP item 14), and must drop out of `waiting` once it is gone
+    # move to its owner's; only the package-wide checks have modules of their own
     tests = Path(__file__).resolve().parent
     named = {path.stem.removeprefix("test_") for path in tests.glob("test_*.py")}
-    waiting = {"entropy"}
-    assert waiting <= named
-    assert not named - {path.stem for path in SRC.glob("*.py")} - {"owners", "packaging"} - waiting
+    assert not named - {path.stem for path in SRC.glob("*.py")} - {"owners", "packaging"}
 
 
 def test_no_two_public_names_are_one_object():

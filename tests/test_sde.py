@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -13,9 +14,20 @@ from sbridge import gaussian_density, gaussian_packet, sde
 from sbridge.errors import (
     DriftBlowup,
     ExcessiveClamping,
+    InfiniteEntropy,
+    NonPositiveMass,
     TimeNotStored,
 )
-from sbridge.grid import Grid1D, ScalarField, _gradient_values, integrate, l1_distance
+from sbridge.grid import (
+    DensityField,
+    Grid1D,
+    ScalarField,
+    _gradient_values,
+    integrate,
+    kl_divergence,
+    l1_distance,
+    normalize,
+)
 from sbridge.quantum import QuantumModel, drifts, evolve
 from sbridge.sde import (
     BLOCK_SIZE,
@@ -25,12 +37,14 @@ from sbridge.sde import (
     duality_check,
     empirical_density,
     generator_check,
+    path_entropy_backward,
+    path_entropy_forward,
     path_integral,
     sample_backward,
     sample_forward,
 )
 
-from oracles import serial_euler_maruyama
+from oracles import gaussian_kl, serial_euler_maruyama
 
 ZERO = lambda x, t: np.zeros_like(x)
 
@@ -42,6 +56,11 @@ BAD_TIMES = (np.array([[0.0, 0.5, 1.0]]), np.array([1.0, 0.5, 0.0]), np.array([0
 @pytest.fixture(scope="module")
 def grid():
     return Grid1D(-10.0, 10.0, 401)
+
+
+@pytest.fixture(scope="module")
+def fine_grid():
+    return Grid1D(-10.0, 10.0, 801)
 
 
 def point_start(grid, eps=1e-6):
@@ -419,6 +438,17 @@ def test_non_finite_drift_is_a_blowup(grid):
         sample_backward(nan_drift, point_start(grid), 1.0, np.linspace(0, 1, 5), 10, seed=1)
 
 
+@pytest.mark.parametrize("table", [True, False], ids=["grid-drift", "callable"])
+@pytest.mark.parametrize("sample", [sample_forward, sample_backward])
+def test_a_start_density_of_zero_mass_is_refused(grid, sample, table):
+    # a start density without mass has no CDF to invert: every start would be NaN
+    times = np.linspace(0.0, 1.0, 5)
+    drift = _ou_table(grid, times) if table else ZERO
+    empty = DensityField(grid, np.zeros(grid.n_points), mass_tol=None)
+    with pytest.raises(NonPositiveMass):
+        sample(drift, empty, 1.0, times, 10, seed=1)
+
+
 def test_ensemble_validation(grid):
     five = np.linspace(0, 1, 5)
     with pytest.raises(ValueError, match="integer"):
@@ -602,3 +632,183 @@ def test_a_failure_in_the_helper_thread_reaches_the_caller(grid, monkeypatch, sa
     assert not caller.is_alive(), "the sampler waits for a row the helper thread never filled"
     assert [str(exc) for exc in raised] == ["normal draw failed"]
     assert threading.active_count() == before
+
+
+def test_equal_laws_give_zero_total(fine_grid):
+    rho = gaussian_density(fine_grid, 0.0, 0.5)
+    beta = lambda x, t: -x
+    times = np.linspace(0.0, 1.0, 501)
+    ens = sample_forward(beta, rho, 1.0, times, 5000, seed=5)
+    fwd = path_entropy_forward(rho, rho, beta, beta, ens, 1.0)
+    assert fwd.static_term == 0.0
+    assert abs(fwd.total) <= 3.0 * fwd.mc_std_error + 1e-12
+    gamma = lambda x, t: x  # stationary backward drift
+    bwd = path_entropy_backward(rho, rho, gamma, gamma, ens, 1.0)
+    assert abs(bwd.total) <= 3.0 * bwd.mc_std_error + 1e-12
+
+
+def test_constant_drift_mismatch_kinetic_value(fine_grid):
+    rho = gaussian_density(fine_grid, 0.0, 1.0)
+    times = np.linspace(0.0, 1.0, 201)
+    ens = sample_forward(lambda x, t: np.ones_like(x), rho, 1.0, times, 2000, seed=6)
+    rep = path_entropy_forward(
+        rho, rho, lambda x, t: np.ones_like(x), lambda x, t: np.zeros_like(x), ens, 1.0
+    )
+    # deterministic integrand: kinetic = c^2 T / (2 sigma^2) with zero noise
+    assert rep.kinetic_term == pytest.approx(0.5, abs=1e-12)
+    assert rep.mc_std_error == pytest.approx(0.0, abs=1e-15)
+    assert rep.total == rep.static_term + rep.kinetic_term
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_path_entropy_rejects_non_positive_or_non_finite_sigma2(fine_grid, bad):
+    rho = gaussian_density(fine_grid, 0.0, 1.0)
+    zero = lambda x, t: np.zeros_like(x)
+    ens = sample_forward(zero, rho, 1.0, np.linspace(0.0, 1.0, 11), 10, seed=8)
+    with pytest.raises(ValueError):
+        path_entropy_forward(rho, rho, zero, zero, ens, bad)
+    with pytest.raises(ValueError):
+        path_entropy_backward(rho, rho, zero, zero, ens, bad)
+
+
+def test_path_entropy_refuses_a_sigma2_other_than_the_ensembles(fine_grid):
+    rho = gaussian_density(fine_grid, 0.0, 1.0)
+    zero = lambda x, t: np.zeros_like(x)
+    one = lambda x, t: np.ones_like(x)
+    ens = sample_forward(zero, rho, 1.0, np.linspace(0.0, 1.0, 11), 10, seed=8)
+    # scored at 4 instead of 1, the kinetic term would read 1/8 instead of 1/2
+    with pytest.raises(ValueError, match="ensemble"):
+        path_entropy_forward(rho, rho, one, zero, ens, 4.0)
+    with pytest.raises(ValueError, match="ensemble"):
+        path_entropy_backward(rho, rho, one, zero, ens, 4.0)
+    assert path_entropy_forward(rho, rho, one, zero, ens, 1.0).kinetic_term == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("same_grid", [True, False])
+def test_drift_tables_score_as_plain_callables_do(fine_grid, same_grid):
+    # two tables on one grid share each row's cell; on two grids each finds
+    # its own: either way the totals and the lookup counters are those of the
+    # same tables called one at a time
+    rng = np.random.default_rng(43)
+    times = np.linspace(0.0, 1.0, 21)
+    grid_p = fine_grid if same_grid else Grid1D(-6.0, 6.0, 301)
+    values_q = rng.standard_normal((21, fine_grid.n_points))
+    values_p = rng.standard_normal((21, grid_p.n_points))
+
+    def tables():
+        return (GridDrift(times, [ScalarField(fine_grid, v) for v in values_q]),
+                GridDrift(times, [ScalarField(grid_p, v) for v in values_p]))
+
+    # about 3 % of the positions lie beyond x = +-10, more beyond +-6
+    ens = PathEnsemble(times, 4.5 * rng.standard_normal((400, 21)), 1.0)
+    q, p = gaussian_density(fine_grid, 0.0, 1.0), gaussian_density(fine_grid, 0.3, 1.2)
+    read, called = tables(), tables()
+    plain = [lambda x, t, d=d: d(x, t) for d in called]
+    for entropy in (path_entropy_forward, path_entropy_backward):
+        assert entropy(q, p, *read, ens, 1.0) == entropy(q, p, *plain, ens, 1.0)
+    counts = [(d.n_eval, d.n_clamped) for d in read]
+    assert counts == [(d.n_eval, d.n_clamped) for d in called]
+    assert counts[0][0] == 2 * 20 * 400 and counts[0][1] > 0
+
+
+def test_kinetic_scales_inversely_with_sigma2(fine_grid):
+    rho = gaussian_density(fine_grid, 0.0, 1.0)
+    times = np.linspace(0.0, 1.0, 201)
+    kinetics = {}
+    for sigma2 in (0.5, 1.0, 2.0):
+        ens = sample_forward(lambda x, t: np.zeros_like(x), rho, sigma2, times,
+                             2000, seed=7)  # common random numbers
+        rep = path_entropy_forward(
+            rho, rho, lambda x, t: np.ones_like(x), lambda x, t: np.zeros_like(x),
+            ens, sigma2,
+        )
+        kinetics[sigma2] = rep.kinetic_term
+    assert kinetics[0.5] / kinetics[1.0] == pytest.approx(2.0, rel=1e-10)
+    assert kinetics[2.0] / kinetics[1.0] == pytest.approx(0.5, rel=1e-10)
+
+
+def test_forward_backward_totals_agree_ou_vs_brownian(fine_grid):
+    # Q: stationary OU (beta = -x, var 1/2); P: Brownian from N(0, 1)
+    q0 = gaussian_density(fine_grid, 0.0, 0.5)
+    p0 = gaussian_density(fine_grid, 0.0, 1.0)
+    p1 = gaussian_density(fine_grid, 0.0, 2.0)
+    beta_q = lambda x, t: -x
+    beta_p = lambda x, t: np.zeros_like(x)
+    gamma_q = lambda x, t: x
+    gamma_p = lambda x, t: x / (1.0 + t)
+
+    times = np.linspace(0.0, 1.0, 1001)
+    ens = sample_forward(beta_q, q0, 1.0, times, 20000, seed=8)
+    fwd = path_entropy_forward(q0, p0, beta_q, beta_p, ens, 1.0)
+    bwd = path_entropy_backward(q0, p1, gamma_q, gamma_p, ens, 1.0)
+
+    analytic = gaussian_kl(0.5, 1.0) + 0.25  # static + stationary kinetic
+    assert fwd.total == pytest.approx(analytic, abs=3 * fwd.mc_std_error + 2e-3)
+    assert abs(fwd.total - bwd.total) <= 3.0 * (fwd.mc_std_error + bwd.mc_std_error) + 2e-3
+    assert fwd.kinetic_term >= -fwd.mc_std_error
+    assert bwd.kinetic_term >= -bwd.mc_std_error
+
+
+def test_half_bridge_girsanov_cross_check(fine_grid):
+    # prior: Brownian from N(0,1) on [0,1]; observed terminal density N(0,1)
+    rho1 = gaussian_density(fine_grid, 0.0, 1.0)
+    prior_t1 = gaussian_density(fine_grid, 0.0, 2.0)
+    gamma_p = lambda x, t: x / (1.0 + t)
+
+    times = np.linspace(0.0, 1.0, 1001)
+    ens = sample_backward(gamma_p, rho1, 1.0, times, 20000, seed=9)
+
+    bwd = path_entropy_backward(rho1, prior_t1, gamma_p, gamma_p, ens, 1.0)
+    assert bwd.kinetic_term == 0.0  # identical backward drifts
+    assert bwd.mc_std_error == 0.0
+    assert bwd.total == pytest.approx(gaussian_kl(1.0, 2.0), abs=1e-6)
+
+    # forward split of the same law: q(0) = N(0, 3/4), beta_q = -x / (3 - t)
+    q0 = gaussian_density(fine_grid, 0.0, 0.75)
+    p0 = gaussian_density(fine_grid, 0.0, 1.0)
+    beta_q = lambda x, t: -x / (3.0 - t)
+    beta_p = lambda x, t: np.zeros_like(x)
+    fwd = path_entropy_forward(q0, p0, beta_q, beta_p, ens, 1.0)
+    assert fwd.total == pytest.approx(gaussian_kl(1.0, 2.0), rel=0.05)
+
+
+def test_report_serialization(fine_grid):
+    rho = gaussian_density(fine_grid, 0.0, 1.0)
+    times = np.linspace(0.0, 1.0, 11)
+    ens = sample_forward(lambda x, t: np.zeros_like(x), rho, 1.0, times, 100, seed=10)
+    rep = path_entropy_forward(
+        rho, rho, lambda x, t: np.zeros_like(x), lambda x, t: np.zeros_like(x), ens, 1.0
+    )
+    blob = dataclasses.asdict(rep)
+    assert set(blob) == {"static_term", "kinetic_term", "total", "direction", "mc_std_error"}
+    assert blob["direction"] == "forward"
+    assert blob["total"] == blob["static_term"] + blob["kinetic_term"]
+
+
+def _overflowing_pair():
+    """A point mass against a spread density on a 5-point grid of spacing 2.5e-307.
+
+    The point mass reads 8e306 at the wall, where log(p/q) = 48: p log(p/q)
+    overflows although both densities clear the floor there.
+    """
+    tiny = Grid1D(0.0, 1e-306, 5)
+    point = normalize(ScalarField(tiny, [1.0, 0.0, 0.0, 0.0, 0.0]))
+    spread = normalize(ScalarField(tiny, np.exp(-12.0 * np.arange(5.0))[::-1]))
+    return point, spread
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p, q, fwd, bwd: kl_divergence(p, q), id="kl_divergence"),
+    pytest.param(lambda p, q, fwd, bwd: path_entropy_forward(p, q, ZERO, ZERO, fwd, 1.0),
+                 id="path_entropy_forward"),
+    pytest.param(lambda p, q, fwd, bwd: path_entropy_backward(p, q, ZERO, ZERO, bwd, 1.0),
+                 id="path_entropy_backward"),
+])
+def test_overflowing_divergence_raises_infinite_entropy(call):
+    point, spread = _overflowing_pair()
+    times = np.linspace(0.0, 1.0, 3)
+    fwd = sample_forward(ZERO, point, 1.0, times, 10, seed=1)
+    bwd = sample_backward(ZERO, point, 1.0, times, 10, seed=1)
+    # the overflow gives the typed error, not a numpy warning
+    with pytest.raises(InfiniteEntropy):
+        call(point, spread, fwd, bwd)
